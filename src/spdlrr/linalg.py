@@ -46,8 +46,15 @@ def svt(a, tau):
     For tau > 0 this is the proximal map of the nuclear norm, i.e. the unique
     minimizer of ||Z||_* + (1 / (2 tau)) ||Z - a||_F^2; tau = 0 reproduces a.
     """
+    return svt_with_norm(a, tau)[0]
+
+
+def svt_with_norm(a, tau):
+    """(svt(a, tau), its nuclear norm) from one SVD: the thresholded
+    singular values are the singular values of the result."""
     u, s, vt = thin_svd(a)
-    return (u * soft_threshold(s, tau)) @ vt
+    s = soft_threshold(s, tau)
+    return (u * s) @ vt, float(s.sum())
 
 
 def nuclear_norm(a):
@@ -66,8 +73,13 @@ def nuclear_subgradient(a, rank_tol=1e-10):
     Keeps singular directions with sigma > rank_tol * sigma_max.  At a = 0
     the zero matrix is returned, which lies in the subdifferential there.
     """
+    return subgradient_with_norm(a, rank_tol)[0]
+
+
+def subgradient_with_norm(a, rank_tol=1e-10):
+    """(nuclear_subgradient(a, rank_tol), ||a||_*) from one SVD."""
     u, s, vt = thin_svd(a)
     if s.size == 0 or s[0] <= 0.0:
-        return np.zeros_like(np.asarray(a, dtype=np.float64))
+        return np.zeros_like(np.asarray(a, dtype=np.float64)), 0.0
     keep = s > rank_tol * s[0]
-    return u[:, keep] @ vt[keep, :]
+    return u[:, keep] @ vt[keep, :], float(s.sum())

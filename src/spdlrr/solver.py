@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SvdFailure
-from .linalg import max_norm, nuclear_norm, nuclear_subgradient, soft_threshold, svt
+from .linalg import max_norm, nuclear_norm, soft_threshold, subgradient_with_norm, svt_with_norm
+from .linalg import nuclear_subgradient, svt  # noqa: F401  (bench/tracing.py wraps these names here)
 
 
 @dataclass
@@ -87,10 +88,14 @@ class BlockPartition:
 
 @dataclass
 class SolverState:
-    """All iterates of the solver, shaped like X.
+    """All iterates of the solver, shaped like X, plus what the last SVDs
+    gave about L and J.
 
-    scratch_W (per-block targets of the SVT step) and scratch_D (target of
-    the elementwise shrink step) are retained for inspection.
+    L_norm is (L, sum_i ||L_i||_*) as update_L_blocks left it; J_factor is
+    (J, nuclear subgradient at J, ||J||_*).  Each holds the array it was
+    computed from and is used only while that array is still state.L or
+    state.J, so a caller that replaces either gets fresh SVDs (one that
+    writes into them in place does not).
     """
 
     L: np.ndarray
@@ -100,8 +105,8 @@ class SolverState:
     Y2: np.ndarray
     mu: float
     iteration: int = 0
-    scratch_W: list = field(default_factory=list)
-    scratch_D: np.ndarray = None
+    L_norm: tuple = None
+    J_factor: tuple = None
 
     @classmethod
     def zeros(cls, shape, mu):
@@ -130,32 +135,44 @@ class SolveTrace:
         self.mu.append(float(mu))
 
 
+def block_target(state, x):
+    """Target of the SVT step: W = ((X - E + Y1/mu) + (J + Y2/mu)) / 2."""
+    mu = state.mu
+    return 0.5 * ((x - state.E + state.Y1 / mu) + (state.J + state.Y2 / mu))
+
+
 def update_L_blocks(state, x, partition):
     """Closed-form block update: each block's restored part is the singular
-    value thresholding of W_i = ((X_i - E_i + Y1_i/mu) + (J_i + Y2_i/mu)) / 2
-    at level 1/(2 mu).  Blocks touch disjoint columns, so update order is
-    irrelevant."""
-    mu = state.mu
-    state.scratch_W = []
+    value thresholding of its columns of W (block_target) at level 1/(2 mu).
+    W is formed once and blocks touch disjoint columns, so update order is
+    irrelevant.  The thresholded singular values give sum_i ||L_i||_*."""
+    w = block_target(state, x)
+    tau = 1.0 / (2.0 * state.mu)
+    total = 0.0
     for k, cols in enumerate(partition.block_columns):
-        w = 0.5 * (
-            (x[:, cols] - state.E[:, cols] + state.Y1[:, cols] / mu)
-            + (state.J[:, cols] + state.Y2[:, cols] / mu)
-        )
         try:
-            state.L[:, cols] = svt(w, 1.0 / (2.0 * mu))
+            block, norm = svt_with_norm(w[:, cols], tau)
         except SvdFailure as exc:
             raise SvdFailure(f"block {k}: {exc}") from exc
-        state.scratch_W.append(w)
+        state.L[:, cols] = block
+        total += norm
+    state.L_norm = (state.L, total)
     return state.L
 
 
 def update_E(state, x, lam):
     """Elementwise shrink of D = X - L + Y1/mu at level lam/mu."""
-    d = x - state.L + state.Y1 / state.mu
-    state.scratch_D = d
-    state.E = soft_threshold(d, lam / state.mu)
+    state.E = soft_threshold(x - state.L + state.Y1 / state.mu, lam / state.mu)
     return state.E
+
+
+def factor_J(state):
+    """(nuclear subgradient at state.J, ||state.J||_*), from one SVD per J
+    array: lagrangian_value factors the J that update_J forms, and the next
+    update_J reuses that factorization."""
+    if state.J_factor is None or state.J_factor[0] is not state.J:
+        state.J_factor = (state.J, *subgradient_with_norm(state.J))
+    return state.J_factor[1:]
 
 
 def update_J(state, beta):
@@ -165,8 +182,9 @@ def update_J(state, beta):
     if beta == 0.0:
         state.J = state.L - state.Y2 / state.mu
     else:
-        grad = nuclear_subgradient(state.J)
+        grad = factor_J(state)[0]
         state.J = (beta / state.mu) * grad - state.Y2 / state.mu + state.L
+    state.J_factor = None  # frees the old subgradient before the new J is factored
     return state.J
 
 
@@ -193,11 +211,17 @@ def lagrangian_value(state, x, partition, params):
 
     (The multiplier terms are written in inner-product form; completing the
     square instead would only add ||Y||_F^2 / (2 mu), a constant in the
-    optimization variables that obscures convergence of the logged value.)"""
-    val = sum(nuclear_norm(state.L[:, cols]) for cols in partition.block_columns)
+    optimization variables that obscures convergence of the logged value.)
+
+    The nuclear norms come from the SVDs of the L and J updates (see
+    SolverState), so they can differ from a fresh SVD in the last digits."""
+    if state.L_norm is not None and state.L_norm[0] is state.L:
+        val = state.L_norm[1]
+    else:
+        val = sum(nuclear_norm(state.L[:, cols]) for cols in partition.block_columns)
     val += params.lam * float(np.abs(state.E).sum())
     if params.beta != 0.0:
-        val -= params.beta * nuclear_norm(state.J)
+        val -= params.beta * factor_J(state)[1]
     r1 = x - state.L - state.E
     r2 = state.J - state.L
     val += float(np.sum(state.Y1 * r1)) + float(np.sum(state.Y2 * r2))
@@ -212,8 +236,9 @@ def solve(x, partition, params, callback=None, log_objective=True):
     multipliers and mu, then the convergence test.  Returns
     (L, E, trace, converged); when max_iter is exhausted the last iterate is
     returned with converged=False.  `callback(state)` fires after each
-    iteration; `log_objective=False` records NaN objectives and skips the
-    extra SVDs they cost.
+    iteration; `log_objective=False` records NaN objectives.  An iteration
+    takes one SVD per block, plus one of J when beta > 0; the objective
+    reuses them.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():

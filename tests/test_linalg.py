@@ -8,7 +8,9 @@ from spdlrr.linalg import (
     nuclear_subgradient,
     singular_values,
     soft_threshold,
+    subgradient_with_norm,
     svt,
+    svt_with_norm,
     thin_svd,
 )
 
@@ -87,6 +89,14 @@ class TestSvt:
             alt = nuclear_norm(other) + np.sum((other - a) ** 2) / (2 * tau)
             assert best <= alt + 1e-9
 
+    @given(st.integers(0, 200), st.floats(min_value=0.0, max_value=10.0))
+    @settings(max_examples=40, deadline=None)
+    def test_with_norm_returns_svt_and_its_nuclear_norm(self, seed, tau):
+        a = random_matrix(seed)
+        z, norm = svt_with_norm(a, tau)
+        assert np.array_equal(z, svt(a, tau))
+        assert norm == pytest.approx(nuclear_norm(z), rel=1e-9, abs=1e-9)
+
 
 class TestNuclearNorm:
     def test_diagonal(self):
@@ -151,6 +161,18 @@ class TestNuclearSubgradient:
         nuc = nuclear_norm(a)
         assert np.linalg.norm(g, 2) <= 1.0 + 1e-8
         assert abs(np.trace(g.T @ a) - nuc) <= 1e-6 * max(1.0, nuc)
+
+    @given(st.integers(0, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_with_norm_matches_separate_calls(self, seed):
+        a = random_matrix(seed)
+        g, norm = subgradient_with_norm(a)
+        assert np.array_equal(g, nuclear_subgradient(a))
+        assert norm == pytest.approx(nuclear_norm(a), rel=1e-12)
+
+    def test_with_norm_of_zero_matrix(self):
+        g, norm = subgradient_with_norm(np.zeros((3, 5)))
+        assert norm == 0.0 and not g.any()
 
 
 class TestThinSvd:

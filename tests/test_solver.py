@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+import spdlrr.linalg
 from spdlrr import (
     BlockPartition,
     DlrrParams,
     SolverState,
     max_norm,
     nuclear_norm,
+    nuclear_subgradient,
+    soft_threshold,
     solve,
+    svt,
 )
 from spdlrr.solver import (
+    block_target,
     check_convergence,
+    lagrangian_value,
     update_E,
     update_J,
     update_L_blocks,
@@ -43,6 +49,30 @@ def reference_three_term_ialm(x, lam, mu0, rho, mu_max, n_iter):
         mu = min(mu_max, rho * mu)
         iterates.append((L.copy(), E.copy()))
     return iterates
+
+
+def reference_block_dlrr(x, partition, params, n_iter):
+    """The block solver's iteration written out plainly: a per-block svt of
+    the gathered target, the subgradient of J recomputed inside the J
+    update, and the objective from fresh nuclear norms."""
+    L, E, J, Y1, Y2 = (np.zeros_like(x) for _ in range(5))
+    mu = params.mu0
+    objectives = []
+    for _ in range(n_iter):
+        for cols in partition.block_columns:
+            w = 0.5 * ((x[:, cols] - E[:, cols] + Y1[:, cols] / mu) + (J[:, cols] + Y2[:, cols] / mu))
+            L[:, cols] = svt(w, 1.0 / (2.0 * mu))
+        E = soft_threshold(x - L + Y1 / mu, params.lam / mu)
+        J = (params.beta / mu) * nuclear_subgradient(J) - Y2 / mu + L
+        r1, r2 = x - L - E, J - L
+        obj = sum(nuclear_norm(L[:, cols]) for cols in partition.block_columns)
+        obj += params.lam * np.abs(E).sum() - params.beta * nuclear_norm(J)
+        obj += np.sum(Y1 * r1) + np.sum(Y2 * r2) + 0.5 * mu * (np.sum(r1 * r1) + np.sum(r2 * r2))
+        objectives.append(float(obj))
+        Y1 = Y1 + mu * (x - L - E)
+        Y2 = Y2 + mu * (J - L)
+        mu = min(params.mu_max, params.rho * mu)
+    return L, E, objectives
 
 
 def fresh_state(shape, mu=1.0, seed=None):
@@ -103,9 +133,8 @@ class TestUpdateLBlocks:
         x = rng.standard_normal((4, 6))
         part = BlockPartition([[0, 2, 4], [1, 3, 5]], 6)
         state = fresh_state(x.shape, mu=1.0)
-        update_L_blocks(state, x, part)
-        for w, cols in zip(state.scratch_W, part.block_columns):
-            np.testing.assert_allclose(w, 0.5 * x[:, cols])
+        for cols in part.block_columns:
+            np.testing.assert_allclose(block_target(state, x)[:, cols], 0.5 * x[:, cols])
 
     def test_single_block_diagonal(self):
         x = np.diag([3.0, 1.0])
@@ -316,6 +345,64 @@ class TestSolve:
         assert not converged
         assert trace.iterations == 3
         assert np.isfinite(L).all() and np.isfinite(E).all()
+
+    def test_bitwise_equal_to_plain_iteration(self, four_block_instance):
+        x, part, lam = four_block_instance
+        # mu0 = 0.1 keeps L, E and the J subgradient nonzero from the start.
+        params = DlrrParams(lam=lam, beta=1.0, mu0=0.1, max_iter=30, eps=1e-30)
+        L, E, trace, _ = solve(x, part, params)
+        L_ref, E_ref, objectives = reference_block_dlrr(x, part, params, 30)
+        assert trace.iterations == 30
+        assert L.any() and E.any()
+        assert np.array_equal(L, L_ref) and np.array_equal(E, E_ref)
+        for got, want in zip(trace.objective, objectives):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_one_svd_per_block_and_j_per_iteration(self, four_block_instance, monkeypatch):
+        x, part, lam = four_block_instance
+        calls = {"thin_svd": 0, "singular_values": 0}
+
+        def counted(name):
+            fn = getattr(spdlrr.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(spdlrr.linalg, name, counted(name))
+        params = DlrrParams(lam=lam, beta=1.0, mu0=0.1, max_iter=25, eps=1e-30)
+        _, _, trace, _ = solve(x, part, params, log_objective=True)
+        n = trace.iterations
+        assert n == 25 and np.isfinite(trace.objective).all()
+        assert calls["thin_svd"] <= n * (part.n_blocks + 1) + 1
+        assert calls["singular_values"] == 0
+
+    def test_replaced_j_gets_fresh_subgradient(self, four_block_instance):
+        x, part, lam = four_block_instance
+        params = DlrrParams(lam=lam, beta=1.0, max_iter=3, eps=1e-30)
+        state = SolverState.zeros(x.shape, mu=1.0)
+        update_L_blocks(state, x, part)
+        update_E(state, x, lam)
+        update_J(state, params.beta)
+        lagrangian_value(state, x, part, params)  # factors this J
+        state.J = np.full_like(x, 2.0)  # rank one: subgradient u v^T
+        y2, mu = state.Y2.copy(), state.mu
+        update_J(state, params.beta)
+        expected = (1.0 / mu) * nuclear_subgradient(np.full_like(x, 2.0)) - y2 / mu + state.L
+        np.testing.assert_allclose(state.J, expected, atol=1e-12)
+
+    def test_objective_of_replaced_l_uses_fresh_norms(self, four_block_instance):
+        x, part, lam = four_block_instance
+        params = DlrrParams(lam=lam, beta=0.0)
+        state = SolverState.zeros(x.shape, mu=1.0)
+        update_L_blocks(state, x, part)
+        state.L = x.copy()
+        state.J = x.copy()
+        expected = sum(nuclear_norm(x[:, cols]) for cols in part.block_columns)
+        assert lagrangian_value(state, x, part, params) == pytest.approx(expected, rel=1e-12)
 
     def test_trace_lengths_match_iterations(self, rpca_result):
         trace = rpca_result["trace"]
