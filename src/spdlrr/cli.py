@@ -22,27 +22,15 @@ from .cube import HsiCube
 from .errors import DegenerateInput, FormatError, NonFiniteData, SvdFailure
 from .pipeline import PipelineConfig, run
 from .solver import BlockPartition, DlrrParams, solve
-from .superpixel import project_base_image, segment
+from .superpixel import first_appearance_ids, project_base_image, segment
 
 _PRESET_DIR = os.path.join(os.path.dirname(__file__), "configs")
 
-_DEFAULTS = {
-    "seed": 0,
-    "t_max": 3,
-    "superpixels": 50,
-    "delta": 0.6,
-    "m_split": 3,
-    "lambda": 0.01,
-    "beta": 1.0,
-    "mu0": 1e-4,
-    "rho": 1.1,
-    "mu_max": 1e12,
-    "eps": 1e-6,
-    "max_iter": 500,
-    "classifier": "nearest-centroid",
-    "knn_k": 5,
-    "percent": 0.05,
-}
+# Config keys that set DlrrParams and PipelineConfig fields, and the keys
+# whose field has another name.
+_SOLVER_KEYS = ("lambda", "beta", "mu0", "rho", "mu_max", "eps", "max_iter")
+_PIPELINE_KEYS = ("t_max", "superpixels", "delta", "m_split", "classifier", "knn_k", "percent")
+_FIELD_NAMES = {"lambda": "lam", "superpixels": "initial_superpixels", "percent": "split_percent"}
 
 
 class UsageError(Exception):
@@ -62,47 +50,23 @@ def _build_parser():
     parser = _Parser(prog="spdlrr", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p):
+    def add_options(p, keys):
+        """--config, then one flag per config key: '--' + key with '_' as
+        '-', typed as in the config file."""
         p.add_argument("--config", help="config file path or preset name")
-
-    def add_solver_flags(p):
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--mu0", type=float)
-        p.add_argument("--rho", type=float)
-        p.add_argument("--mu-max", dest="mu_max", type=float)
-        p.add_argument("--eps", type=float)
-        p.add_argument("--max-iter", dest="max_iter", type=int)
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), type=spio.CONFIG_KEYS[key])
 
     p = sub.add_parser("decompose", help="low-rank + sparse split over given superpixels")
-    add_common(p)
-    p.add_argument("--cube")
-    p.add_argument("--partition")
-    p.add_argument("--out-dir", dest="out_dir")
-    add_solver_flags(p)
+    add_options(p, ["cube", "partition", "out_dir", *_SOLVER_KEYS])
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("segment", help="superpixel segmentation raster")
-    add_common(p)
-    p.add_argument("--cube")
+    add_options(p, ["cube", "superpixels", "seed"])
     p.add_argument("--out")
-    p.add_argument("--superpixels", type=int)
-    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("classify", help="full restoration + classification pipeline")
-    add_common(p)
-    p.add_argument("--cube")
-    p.add_argument("--labels")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--t-max", dest="t_max", type=int)
-    p.add_argument("--superpixels", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--m-split", dest="m_split", type=int)
-    add_solver_flags(p)
-    p.add_argument("--classifier")
-    p.add_argument("--knn-k", dest="knn_k", type=int)
-    p.add_argument("--percent", type=float)
+    add_options(p, ["cube", "labels", "out_dir", "seed", *_PIPELINE_KEYS, *_SOLVER_KEYS])
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("metrics", help="score a predictions raster against truth")
@@ -127,38 +91,33 @@ def _resolve_config(name):
     return spio.load_config(name)
 
 
-def _merged(args, config, key, attr=None, required=False):
-    """Flag value if given, else config value, else default; `required`
-    turns an absent value into a usage error."""
-    attr = attr or key
-    value = getattr(args, attr, None)
+def _option(args, config, key, required=False):
+    """Flag value if given, else config value, else None; `required` turns
+    an absent value into a usage error."""
+    value = getattr(args, key)
     if value is None:
         value = config.get(key)
-    if value is None:
-        value = _DEFAULTS.get(key)
     if value is None and required:
         raise UsageError(f"missing required option --{key.replace('_', '-')}")
     return value
 
 
-def _dlrr_params(args, config):
-    return DlrrParams(
-        lam=_merged(args, config, "lambda", attr="lam"),
-        beta=_merged(args, config, "beta"),
-        mu0=_merged(args, config, "mu0"),
-        rho=_merged(args, config, "rho"),
-        mu_max=_merged(args, config, "mu_max"),
-        eps=_merged(args, config, "eps"),
-        max_iter=_merged(args, config, "max_iter"),
-    )
+def _from_options(cls, keys, args, config, **kwargs):
+    """cls built from the options among `keys` that a flag or the config
+    supplies; its own defaults fill the rest."""
+    for key in keys:
+        value = _option(args, config, key)
+        if value is not None:
+            kwargs[_FIELD_NAMES.get(key, key)] = value
+    return cls(**kwargs)
 
 
 def _cmd_decompose(args):
     config = _resolve_config(args.config)
-    cube_path = _merged(args, config, "cube", required=True)
-    part_path = _merged(args, config, "partition", required=True)
-    out_dir = _merged(args, config, "out_dir", required=True)
-    params = _dlrr_params(args, config)
+    cube_path = _option(args, config, "cube", required=True)
+    part_path = _option(args, config, "partition", required=True)
+    out_dir = _option(args, config, "out_dir", required=True)
+    params = _from_options(DlrrParams, _SOLVER_KEYS, args, config)
     cube = spio.load_cube(cube_path)
     partition = spio.load_partition(part_path)
     if partition.labels.shape != (cube.height, cube.width):
@@ -178,15 +137,14 @@ def _cmd_decompose(args):
 
 def _cmd_segment(args):
     config = _resolve_config(args.config)
-    cube_path = _merged(args, config, "cube", required=True)
+    cube_path = _option(args, config, "cube", required=True)
     out_path = args.out
     if out_path is None:
         raise UsageError("missing required option --out")
-    target = _merged(args, config, "superpixels")
-    seed = _merged(args, config, "seed")
+    defaults = _from_options(PipelineConfig, ("superpixels", "seed"), args, config)
     cube = spio.load_cube(cube_path)
     base = project_base_image(cube)
-    partition = segment(base, target, seed)
+    partition = segment(base, defaults.initial_superpixels, defaults.seed)
     spio.write_raster(partition.labels, out_path)
     print(f"segment: {partition.count} superpixels")
     return 0
@@ -196,19 +154,12 @@ def _cmd_classify(args):
     config = _resolve_config(args.config)
     if args.seed is None:
         raise UsageError("classify requires an explicit --seed")
-    cube_path = _merged(args, config, "cube", required=True)
-    labels_path = _merged(args, config, "labels", required=True)
-    out_dir = _merged(args, config, "out_dir", required=True)
-    pipe_config = PipelineConfig(
-        t_max=_merged(args, config, "t_max"),
-        initial_superpixels=_merged(args, config, "superpixels"),
-        delta=_merged(args, config, "delta"),
-        m_split=_merged(args, config, "m_split"),
-        dlrr=_dlrr_params(args, config),
-        classifier=_merged(args, config, "classifier"),
-        knn_k=_merged(args, config, "knn_k"),
-        split_percent=_merged(args, config, "percent"),
-        seed=args.seed,
+    cube_path = _option(args, config, "cube", required=True)
+    labels_path = _option(args, config, "labels", required=True)
+    out_dir = _option(args, config, "out_dir", required=True)
+    dlrr = _from_options(DlrrParams, _SOLVER_KEYS, args, config)
+    pipe_config = _from_options(
+        PipelineConfig, _PIPELINE_KEYS, args, config, dlrr=dlrr, seed=args.seed
     )
     cube = spio.load_cube(cube_path)
     labels, mapping = spio.load_labels(labels_path)
@@ -241,16 +192,9 @@ def _cmd_metrics(args):
     if pred_grid.shape != truth_grid.shape:
         raise FormatError("prediction and truth rasters have different shapes")
     # One consistent dense mapping across both rasters, truth ids first.
-    lut = {}
-    for grid in (truth_grid, pred_grid):
-        for v in grid.ravel():
-            v = int(v)
-            if v != 0 and v not in lut:
-                lut[v] = len(lut) + 1
-    lut[0] = 0
-    remap = np.vectorize(lut.__getitem__, otypes=[np.int64])
-    dense_truth = remap(truth_grid)
-    dense_pred = remap(pred_grid)
+    (dense_truth, dense_pred), _ = first_appearance_ids(
+        np.stack([truth_grid, pred_grid]), keep_zero=True
+    )
     mask = truth_grid > 0
     if (pred_grid[mask] == 0).any():
         raise FormatError("predictions are unlabeled on scored pixels")

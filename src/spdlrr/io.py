@@ -14,8 +14,8 @@ import numpy as np
 
 from .classify import LabelField
 from .cube import HsiCube
-from .errors import FormatError, NonFiniteData
-from .superpixel import SuperpixelPartition
+from .errors import DegenerateInput, FormatError, NonFiniteData
+from .superpixel import SuperpixelPartition, first_appearance_ids
 
 MANIFEST_KEYS = {"height", "width", "bands", "dtype", "layout", "data_path"}
 
@@ -114,18 +114,26 @@ def write_cube(cube, manifest_path, data_filename=None):
 
 
 def load_raster(path):
+    """Read a text raster: a 'height width' line, then height rows of width
+    non-negative integers.  Only blank lines may follow the last row."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             tokens = fh.readline().split()
             if len(tokens) != 2:
                 raise FormatError(f"{path}: first line must be 'height width'")
             h, w = int(tokens[0]), int(tokens[1])
+            if h < 1 or w < 1:
+                raise FormatError(f"{path}: dimensions must be positive")
             rows = []
             for i in range(h):
                 row = fh.readline().split()
                 if len(row) != w:
                     raise FormatError(f"{path}: row {i} has {len(row)} of {w} values")
                 rows.append([int(v) for v in row])
+            if any(line.strip() for line in fh):
+                raise FormatError(f"{path}: data after the {h} declared rows")
+    except FormatError:
+        raise
     except ValueError as exc:
         raise FormatError(f"{path}: non-integer raster value") from exc
     grid = np.array(rows, dtype=np.int64)
@@ -134,30 +142,12 @@ def load_raster(path):
     return grid
 
 
-def _densify(values, keep_zero):
-    """Remap values to consecutive ids by first appearance in scan order.
-    With keep_zero, 0 stays 0 and classes become 1..C."""
-    mapping = {}
-    flat = values.ravel()
-    out = np.empty_like(flat)
-    offset = 1 if keep_zero else 0
-    for i, v in enumerate(flat):
-        v = int(v)
-        if keep_zero and v == 0:
-            out[i] = 0
-            continue
-        if v not in mapping:
-            mapping[v] = len(mapping) + offset
-        out[i] = mapping[v]
-    return out.reshape(values.shape), mapping
-
-
 def load_labels(path):
     """Read a class raster; class ids are re-densified to 1..C in order of
     first appearance (0 stays unlabeled).  Returns (field, mapping) where
     mapping sends original ids to dense ids."""
     grid = load_raster(path)
-    dense, mapping = _densify(grid, keep_zero=True)
+    dense, mapping = first_appearance_ids(grid, keep_zero=True)
     return LabelField(dense), mapping
 
 
@@ -165,7 +155,7 @@ def load_partition(path):
     """Read a superpixel raster; ids are re-densified to 0..S-1 in order of
     first appearance."""
     grid = load_raster(path)
-    dense, mapping = _densify(grid, keep_zero=False)
+    dense, mapping = first_appearance_ids(grid)
     return SuperpixelPartition(dense, len(mapping))
 
 
@@ -189,13 +179,16 @@ def class_gray_levels(n_classes):
 
 def render_map(predictions, path, n_classes=None, class_ids=None):
     """Write a binary PGM classification map plus a '<path>.palette.txt'
-    file listing 'class gray' pairs.  Injective for up to 255 classes.
+    file listing 'class gray' pairs.  Gray levels are distinct per class, so
+    more than 255 classes raise DegenerateInput.
 
     class_ids optionally renames class c in the palette (e.g. back to the
     ids used in the source label raster)."""
     labels = predictions.labels
     if n_classes is None:
         n_classes = max(1, int(labels.max()))
+    if n_classes > 255:
+        raise DegenerateInput(f"{n_classes} classes do not fit 255 distinct gray levels")
     levels = np.array(class_gray_levels(n_classes), dtype=np.uint8)
     image = levels[labels]
     h, w = labels.shape

@@ -31,7 +31,7 @@ class PipelineConfig:
     initial_superpixels: int = 50
     delta: float = 0.6
     m_split: int = 3
-    dlrr: DlrrParams = field(default_factory=lambda: DlrrParams(lam=0.01))
+    dlrr: DlrrParams = field(default_factory=DlrrParams)
     classifier: str = "nearest-centroid"
     knn_k: int = DEFAULT_KNN_K
     split_percent: float = 0.05

@@ -31,7 +31,7 @@ class DlrrParams:
     both residual max norms fall below eps.
     """
 
-    lam: float
+    lam: float = 0.01
     beta: float = 1.0
     mu0: float = 1e-4
     rho: float = 1.1

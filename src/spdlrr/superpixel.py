@@ -162,18 +162,28 @@ def _recenter(values, mask, labels, centers):
     return out
 
 
-def _compact_labels(labels, mask):
-    """Relabel masked entries to 0..S-1 by first appearance in scan order."""
-    flat = labels[mask]
-    seen = {}
-    remap = np.empty(flat.size, dtype=np.int64)
-    for i, v in enumerate(flat):
-        if v not in seen:
-            seen[v] = len(seen)
-        remap[i] = seen[v]
-    out = np.full(labels.shape, -1, dtype=np.int64)
-    out[mask] = remap
-    return out, len(seen)
+def first_appearance_ids(values, keep_zero=False):
+    """Map values to consecutive ids 0, 1, ... in order of first appearance
+    in scan (row-major) order.  With keep_zero, 0 stays 0 and the other
+    values become 1, 2, ...
+
+    Returns (ids, mapping): ids has the shape of values, and mapping sends
+    each distinct value (except 0 under keep_zero) to its id, in id order.
+    """
+    values = np.asarray(values)
+    uniq, first, inverse = np.unique(values.ravel(), return_index=True, return_inverse=True)
+    if keep_zero:
+        zero = uniq == 0
+        first[zero] = -1  # ranks first, so it gets id 0
+    order = np.argsort(first)
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[order] = np.arange(uniq.size)
+    if keep_zero and not zero.any():
+        rank += 1
+    mapping = dict(zip(uniq[order].tolist(), rank[order].tolist()))
+    if keep_zero:
+        mapping.pop(0, None)
+    return rank[inverse].reshape(values.shape), mapping
 
 
 def _enforce_connectivity(labels, mask):
@@ -246,9 +256,10 @@ def _slic(values, mask, target):
     centers = _init_centers(values, rows, cols)
     step = math.sqrt(h * w / centers.shape[0])
     labels = _kmeans_sweeps(values, mask, centers, step)
-    labels, _ = _compact_labels(labels, mask)
+    labels[mask] = first_appearance_ids(labels[mask])[0]
     labels = _enforce_connectivity(labels, mask)
-    return _compact_labels(labels, mask)
+    labels[mask], mapping = first_appearance_ids(labels[mask])
+    return labels, len(mapping)
 
 
 def segment(base, target_count, seed=0):

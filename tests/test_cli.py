@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spdlrr
+from spdlrr import DlrrParams, PipelineConfig, cli
 from spdlrr import io as spio
 from spdlrr.cli import cli_main
 from spdlrr.synthetic import rpca_instance, two_class_cube
@@ -190,6 +195,29 @@ class TestClassifyCommand:
             b = (demo_dir / "b" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
+    def test_outputs_independent_of_blas_threads(self, demo_dir):
+        """Each run is a fresh process, so the thread count is read when
+        numpy loads."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spdlrr.__file__)))
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            argv = classify_args(demo_dir, f"threads_{threads}")
+            done = subprocess.run(
+                [sys.executable, "-m", "spdlrr.cli", *argv],
+                env=env,
+                capture_output=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            out = demo_dir / f"threads_{threads}"
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            outputs[threads] = (done.stdout, files)
+        assert len(outputs["1"][1]) == 7
+        assert outputs["1"] == outputs["2"]
+
     def test_config_file_supplies_defaults_and_flags_override(self, demo_dir, capsys):
         cfg = demo_dir / "run.cfg"
         cfg.write_text(
@@ -229,8 +257,77 @@ class TestMetricsCommand:
         assert payload["oa"] == pytest.approx(0.8)
         assert payload["confusion"] == [[2, 1], [0, 2]]
 
+    def test_class_order_follows_truth(self, tmp_path, capsys):
+        # The predictions meet id 2 first; the truth meets 5 first and wins.
+        spio.write_raster(np.array([[5, 5, 2]]), str(tmp_path / "t.txt"))
+        spio.write_raster(np.array([[2, 5, 2]]), str(tmp_path / "p.txt"))
+        rc = cli_main(["metrics", str(tmp_path / "p.txt"), str(tmp_path / "t.txt")])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["per_class"] == [0.5, 1.0]
+        assert payload["confusion"] == [[1, 1], [0, 1]]
+
     def test_shape_mismatch_rejected(self, tmp_path, capsys):
         spio.write_raster(np.ones((2, 2), int), str(tmp_path / "t.txt"))
         spio.write_raster(np.ones((2, 3), int), str(tmp_path / "p.txt"))
         rc = cli_main(["metrics", str(tmp_path / "p.txt"), str(tmp_path / "t.txt")])
         assert rc == 2
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestDefaults:
+    """The dataclasses are the only source of defaults: the CLI passes on
+    only what a flag or the config file supplies."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch, demo_dir):
+        calls = {}
+
+        def capture(name):
+            def fake(*args):
+                calls[name] = args
+                raise _Captured()
+
+            return fake
+
+        monkeypatch.setattr(cli, "run", capture("run"))
+        monkeypatch.setattr(cli, "solve", capture("solve"))
+        monkeypatch.setattr(cli, "segment", capture("segment"))
+        spio.write_raster(np.zeros((12, 12), int), str(demo_dir / "part.txt"))
+        return calls
+
+    def classify(self, demo_dir, *extra):
+        argv = ["classify", "--cube", str(demo_dir / "cube.json"), "--labels"]
+        argv += [str(demo_dir / "truth.txt"), "--out-dir", str(demo_dir / "o"), *extra]
+        with pytest.raises(_Captured):
+            cli_main(argv)
+
+    def test_no_flags_no_config(self, demo_dir, calls):
+        self.classify(demo_dir, "--seed", "7")
+        assert calls["run"][2] == PipelineConfig(seed=7)
+        with pytest.raises(_Captured):
+            cli_main(
+                ["decompose", "--cube", str(demo_dir / "cube.json"), "--partition"]
+                + [str(demo_dir / "part.txt"), "--out-dir", str(demo_dir / "d")]
+            )
+        assert calls["solve"][2] == DlrrParams()
+        with pytest.raises(_Captured):
+            cli_main(["segment", "--cube", str(demo_dir / "cube.json"), "--out", "s.txt"])
+        defaults = PipelineConfig()
+        assert calls["segment"][1:] == (defaults.initial_superpixels, defaults.seed)
+
+    def test_flag_beats_config_beats_default(self, demo_dir, calls):
+        cfg = demo_dir / "run.cfg"
+        cfg.write_text("lambda = 0.2\ndelta = 0.8\n")
+        self.classify(demo_dir, "--seed", "7", "--config", str(cfg))
+        config = calls["run"][2]
+        assert (config.dlrr.lam, config.delta) == (0.2, 0.8)
+        assert config == PipelineConfig(delta=0.8, dlrr=DlrrParams(lam=0.2), seed=7)
+        self.classify(
+            demo_dir, "--seed", "7", "--config", str(cfg), "--lambda", "0.3", "--delta", "0.9"
+        )
+        config = calls["run"][2]
+        assert (config.dlrr.lam, config.delta) == (0.3, 0.9)

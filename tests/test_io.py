@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from spdlrr import FormatError, HsiCube, LabelField, NonFiniteData
+from spdlrr import DegenerateInput, FormatError, HsiCube, LabelField, NonFiniteData
 from spdlrr import io as spio
+from spdlrr.cli import cli_main
 
 
 def read_pgm(path):
@@ -123,6 +124,30 @@ class TestLabelRasters:
         with pytest.raises(FormatError):
             spio.load_labels(str(path))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 2\n1 2\n3 4\n5 6\n", "after the 2 declared rows"),
+            ("2 2\n1 2\n3 4\n\n7\n", "after the 2 declared rows"),
+            ("0 3\n", "must be positive"),
+            ("3 0\n\n\n\n", "must be positive"),
+            ("-1 2\n1 2\n", "must be positive"),
+        ],
+        ids=["extra-row", "data-after-blank", "zero-height", "zero-width", "negative-height"],
+    )
+    def test_malformed_shape_rejected(self, tmp_path, text, message):
+        path = tmp_path / "r.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            spio.load_raster(str(path))
+        spio.write_raster(np.ones((2, 2), int), str(tmp_path / "ok.txt"))
+        assert cli_main(["metrics", str(path), str(tmp_path / "ok.txt")]) == 2
+
+    def test_trailing_blank_lines_allowed(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("1 2\n3 4\n\n  \n")
+        np.testing.assert_array_equal(spio.load_raster(str(path)), [[3, 4]])
+
     def test_raster_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         grid = rng.integers(0, 5, size=(4, 6))
@@ -161,6 +186,14 @@ class TestRenderMap:
         image = read_pgm(str(path)).astype(np.float64)
         recovered = np.round(image * n_classes / 255.0).astype(int)
         np.testing.assert_array_equal(recovered, labels)
+
+    @pytest.mark.parametrize("n_classes", [256, None])
+    def test_more_than_255_classes_rejected(self, tmp_path, n_classes):
+        labels = np.arange(257).reshape(1, -1)
+        path = tmp_path / "m.pgm"
+        with pytest.raises(DegenerateInput):
+            spio.render_map(LabelField(labels), str(path), n_classes=n_classes)
+        assert not path.exists()
 
     def test_gray_mapping_injective_up_to_255(self):
         levels = spio.class_gray_levels(255)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from spdlrr import (
@@ -12,7 +13,7 @@ from spdlrr import (
     refine,
     segment,
 )
-from spdlrr.superpixel import SuperpixelPartition
+from spdlrr.superpixel import SuperpixelPartition, first_appearance_ids
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -236,3 +237,47 @@ class TestRefine:
             hist = np.bincount(preds.labels[member], minlength=3)[1:]
             _, mr, _ = class_ratios(hist)
             assert mr >= 0.6
+
+
+def reference_first_appearance(values, keep_zero):
+    """Plain-loop reference: consecutive ids by first appearance in scan
+    order, 0 kept as 0 under keep_zero."""
+    flat = np.asarray(values).ravel()
+    out = np.empty(flat.size, dtype=np.int64)
+    mapping = {}
+    offset = 1 if keep_zero else 0
+    for i, v in enumerate(flat):
+        v = int(v)
+        if keep_zero and v == 0:
+            out[i] = 0
+            continue
+        if v not in mapping:
+            mapping[v] = len(mapping) + offset
+        out[i] = mapping[v]
+    return out.reshape(np.shape(values)), mapping
+
+
+class TestFirstAppearanceIds:
+    @given(
+        hnp.arrays(
+            np.int64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+            elements=st.integers(-2, 6),
+        ),
+        st.integers(0, 2**16),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_loop(self, grid, mask_seed, keep_zero):
+        mask = np.random.default_rng(mask_seed).random(grid.shape) < 0.6
+        for values in (grid, grid[mask]):
+            ids, mapping = first_appearance_ids(values, keep_zero=keep_zero)
+            want_ids, want_mapping = reference_first_appearance(values, keep_zero)
+            assert ids.dtype == np.int64 and ids.shape == values.shape
+            np.testing.assert_array_equal(ids, want_ids)
+            assert list(mapping.items()) == list(want_mapping.items())
+
+    @pytest.mark.parametrize("keep_zero", [False, True])
+    def test_empty_input(self, keep_zero):
+        ids, mapping = first_appearance_ids(np.zeros((0, 3), dtype=np.int64), keep_zero)
+        assert ids.shape == (0, 3) and mapping == {}
