@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Write the demo scene, run a fixed list of CLI calls on it and print one
+'sha256  path' line per file, so that two checkouts can be compared for
+byte-identical outputs with a single diff:
+
+    PYTHONPATH=src python3 scripts/golden_outputs.py > after.txt
+    PYTHONPATH=../parent/src python3 scripts/golden_outputs.py > before.txt
+    diff before.txt after.txt
+
+The scene comes from make_demo_data.py next to this script.  BLAS is pinned
+to one thread; float outputs can still differ across BLAS builds, so
+compare runs made on one machine.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import hashlib
+import io
+import subprocess
+import sys
+import tempfile
+
+from spdlrr.cli import cli_main
+
+SCENE_FLAGS = ["--lambda", "0.1667", "--superpixels", "4", "--delta", "0.7",
+               "--m-split", "2", "--percent", "0.10"]
+
+CALLS = [
+    ["segment", "--cube", "cube.json", "--out", "partition.txt", "--superpixels", "4"],
+    ["segment", "--cube", "cube.json", "--out", "partition-16.txt", "--superpixels", "16"],
+    ["decompose", "--cube", "cube.json", "--partition", "partition.txt",
+     "--out-dir", "decompose", "--lambda", "0.1667"],
+    ["classify", "--cube", "cube.json", "--labels", "truth.txt", "--out-dir",
+     "classify-centroid", "--seed", "7", *SCENE_FLAGS],
+    ["classify", "--cube", "cube.json", "--labels", "truth.txt", "--out-dir",
+     "classify-knn", "--seed", "7", "--classifier", "knn", *SCENE_FLAGS],
+    ["metrics", "classify-knn/predictions.txt", "truth.txt", "--out", "metrics-knn.json"],
+]
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("work_dir", nargs="?", help="keep the files here (default: a temp dir)")
+    args = parser.parse_args()
+    with contextlib.ExitStack() as stack:
+        work = args.work_dir or stack.enter_context(tempfile.TemporaryDirectory())
+        demo = os.path.join(os.path.dirname(os.path.abspath(__file__)), "make_demo_data.py")
+        subprocess.run([sys.executable, demo, work], check=True, stdout=subprocess.DEVNULL)
+        os.chdir(work)
+        for call in CALLS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(call)
+            if code != 0:
+                sys.exit(f"spdlrr {' '.join(call)} exited {code}")
+        paths = sorted(
+            os.path.relpath(os.path.join(root, name))
+            for root, _, names in os.walk(".")
+            for name in names
+        )
+        for path in paths:
+            print(f"{sha256(path)}  {path}")
+
+
+if __name__ == "__main__":
+    main()

@@ -90,19 +90,29 @@ def _nearest_centroid(train_x, train_y, all_x):
 
 
 def _knn(train_x, train_y, all_x, k):
+    if k < 1:
+        raise DegenerateInput("knn_k must be at least 1")
     k = min(k, train_x.shape[0])
     n_classes = int(train_y.max())
     pred = np.empty(all_x.shape[0], dtype=np.int64)
     sq_train = np.sum(train_x**2, axis=1)
     for start in range(0, all_x.shape[0], _PREDICT_CHUNK):
         chunk = all_x[start : start + _PREDICT_CHUNK]
+        n = chunk.shape[0]
         d2 = np.sum(chunk**2, axis=1)[:, None] - 2.0 * chunk @ train_x.T + sq_train
-        # Stable sort: equidistant neighbours resolve by training index.
-        nn = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        votes = np.zeros((chunk.shape[0], n_classes + 1), dtype=np.int64)
-        np.add.at(votes, (np.arange(chunk.shape[0])[:, None], train_y[nn]), 1)
+        # The k nearest are those within the k-th smallest distance, unless
+        # a tie straddles it; there a stable sort takes equidistant
+        # neighbours by training index.
+        near = d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        tied = np.flatnonzero(np.count_nonzero(near, axis=1) != k)
+        near[tied] = False
+        near[tied[:, None], np.argsort(d2[tied], axis=1, kind="stable")[:, :k]] = True
+        nn = np.flatnonzero(near).reshape(n, k) % near.shape[1]  # k per row
+        cells = np.arange(n)[:, None] * (n_classes + 1) + train_y[nn]
+        votes = np.bincount(cells.ravel(), minlength=n * (n_classes + 1))
         # argmax returns the first maximum, i.e. the smallest class id on ties.
-        pred[start : start + chunk.shape[0]] = np.argmax(votes[:, 1:], axis=1) + 1
+        votes = votes.reshape(n, n_classes + 1)[:, 1:]
+        pred[start : start + n] = np.argmax(votes, axis=1) + 1
     return pred
 
 

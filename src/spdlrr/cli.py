@@ -163,6 +163,7 @@ def _cmd_classify(args):
     )
     cube = spio.load_cube(cube_path)
     labels, mapping = spio.load_labels(labels_path)
+    spio.check_map_classes(labels.n_classes)  # fail before the run writes anything
     result = run(cube, labels, pipe_config)
     os.makedirs(out_dir, exist_ok=True)
     n_classes = labels.n_classes

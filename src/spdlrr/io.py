@@ -177,6 +177,12 @@ def class_gray_levels(n_classes):
     return levels
 
 
+def check_map_classes(n_classes):
+    """Raise DegenerateInput when a map cannot give each class its own gray."""
+    if n_classes > 255:
+        raise DegenerateInput(f"{n_classes} classes do not fit 255 distinct gray levels")
+
+
 def render_map(predictions, path, n_classes=None, class_ids=None):
     """Write a binary PGM classification map plus a '<path>.palette.txt'
     file listing 'class gray' pairs.  Gray levels are distinct per class, so
@@ -187,8 +193,7 @@ def render_map(predictions, path, n_classes=None, class_ids=None):
     labels = predictions.labels
     if n_classes is None:
         n_classes = max(1, int(labels.max()))
-    if n_classes > 255:
-        raise DegenerateInput(f"{n_classes} classes do not fit 255 distinct gray levels")
+    check_map_classes(n_classes)
     levels = np.array(class_gray_levels(n_classes), dtype=np.uint8)
     image = levels[labels]
     h, w = labels.shape

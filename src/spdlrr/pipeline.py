@@ -44,6 +44,8 @@ class PipelineConfig:
             raise ValueError("delta must lie in (0, 1]")
         if self.m_split < 1:
             raise ValueError("m_split must be at least 1")
+        if self.knn_k < 1:
+            raise ValueError("knn_k must be at least 1")
 
 
 @dataclass

@@ -191,15 +191,20 @@ def _enforce_connectivity(labels, mask):
     component into the largest 4-adjacent region inside mask."""
     out = labels.copy()
     orphans = []
+    # Each label and fragment is handled inside its bounding box, where
+    # row-major order is the global scan order.
+    boxes = ndimage.find_objects(labels + 1)
     for sid in np.unique(labels[mask]):
-        comp, n_comp = ndimage.label(labels == sid, structure=_FOUR_CONNECTED)
+        box = boxes[sid]
+        comp, n_comp = ndimage.label(labels[box] == sid, structure=_FOUR_CONNECTED)
         if n_comp <= 1:
             continue
         sizes = np.bincount(comp.ravel())[1:]
         main = int(np.argmax(sizes)) + 1
-        for part in range(1, n_comp + 1):
+        for part, sub in enumerate(ndimage.find_objects(comp), 1):
             if part != main:
-                pix = np.nonzero(comp == part)
+                rs, cs = np.nonzero(comp[sub] == part)
+                pix = (rs + box[0].start + sub[0].start, cs + box[1].start + sub[1].start)
                 orphans.append(pix)
                 out[pix] = -1
     if not orphans:
@@ -214,16 +219,12 @@ def _enforce_connectivity(labels, mask):
         deferred = []
         progressed = False
         for pix in pending:
-            neigh = set()
-            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                nr = pix[0] + dr
-                nc = pix[1] + dc
-                ok = (nr >= 0) & (nr < h) & (nc >= 0) & (nc < w)
-                if not ok.any():
-                    continue
-                vals = out[nr[ok], nc[ok]]
-                ms = mask[nr[ok], nc[ok]]
-                neigh.update(int(v) for v in vals[ms & (vals >= 0)])
+            nr = np.concatenate((pix[0] - 1, pix[0] + 1, pix[0], pix[0]))
+            nc = np.concatenate((pix[1], pix[1], pix[1] - 1, pix[1] + 1))
+            ok = (nr >= 0) & (nr < h) & (nc >= 0) & (nc < w)
+            nr, nc = nr[ok], nc[ok]
+            vals = out[nr, nc]
+            neigh = np.unique(vals[mask[nr, nc] & (vals >= 0)]).tolist()
             if not neigh:
                 deferred.append(pix)
                 continue
@@ -332,23 +333,26 @@ def refine(partition, predictions, delta, m_split, base, seed=0):
     n_classes = int(preds.max())
     out = np.full((h, w), -1, dtype=np.int64)
     next_id = 0
-    for sid in range(partition.count):
-        member = partition.labels == sid
-        hist = np.bincount(preds[member], minlength=n_classes + 1)[1:]
+    boxes = ndimage.find_objects(partition.labels + 1, max_label=partition.count)
+    for sid, box in enumerate(boxes):
+        box = box or np.s_[0:0, 0:0]  # an empty id fails in class_ratios
+        member = partition.labels[box] == sid
+        hist = np.bincount(preds[box][member], minlength=n_classes + 1)[1:]
         _, max_ratio, _ = class_ratios(hist)
         if max_ratio >= delta:
-            out[member] = next_id
+            out[box][member] = next_id
             next_id += 1
             continue
         rs, cs = np.nonzero(member)
+        rs, cs = rs + box[0].start, cs + box[1].start
         if rs.size < m_split:
             out[rs, cs] = next_id + np.arange(rs.size)
             next_id += rs.size
             continue
         r0, r1, c0, c1 = _enclosing_square(rs, cs, h, w)
         window = np.s_[r0 : r1 + 1, c0 : c1 + 1]
-        sub_labels, n_sub = _slic(base[window], member[window], m_split)
-        inside = member[window]
+        inside = partition.labels[window] == sid
+        sub_labels, n_sub = _slic(base[window], inside, m_split)
         out[window][inside] = sub_labels[inside] + next_id
         next_id += n_sub
     return SuperpixelPartition(out, next_id)

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spdlrr import (
     DegenerateInput,
@@ -10,6 +13,7 @@ from spdlrr import (
     split,
     train_predict,
 )
+from spdlrr import classify
 
 
 def blob_instance(seed=5, h=6, w=10, sigma=0.1):
@@ -89,6 +93,13 @@ class TestTrainPredict:
         pred = train_predict(feats, s, field, "knn", k=4)
         assert pred.labels[0, 4] == 1
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_knn_rejects_k_below_one(self, k):
+        feats, field = blob_instance()
+        s = split(field, 0.3, seed=2)
+        with pytest.raises(DegenerateInput):
+            train_predict(feats, s, field, "knn", k=k)
+
     def test_separable_blobs_score_perfectly(self):
         feats, field = blob_instance()
         s = split(field, 0.3, seed=2)
@@ -129,6 +140,39 @@ class TestTrainPredict:
         a = train_predict(feats, s, field, "nearest-centroid")
         b = train_predict(feats + shift, s, field, "nearest-centroid")
         np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def reference_knn(train_x, train_y, all_x, k):
+    """Full stable-argsort kNN vote: equidistant neighbours go by training
+    index, a vote tie goes to the smallest class id."""
+    k = min(k, train_x.shape[0])
+    d2 = np.sum(all_x**2, axis=1)[:, None] - 2.0 * all_x @ train_x.T + np.sum(train_x**2, axis=1)
+    nn = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    votes = np.zeros((all_x.shape[0], int(train_y.max()) + 1), dtype=np.int64)
+    np.add.at(votes, (np.arange(all_x.shape[0])[:, None], train_y[nn]), 1)
+    return np.argmax(votes[:, 1:], axis=1) + 1
+
+
+class TestKnnSelection:
+    @given(
+        st.data(),
+        st.integers(1, 12),
+        st.integers(1, 30),
+        st.integers(1, 3),
+        st.integers(1, 7),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_stable_sort(self, data, n_train, n_all, bands, chunk):
+        # Small integer features make equal distances, and so ties at the
+        # k-th neighbour, frequent; the arithmetic is exact.
+        ints = st.integers(0, 3)
+        train_x = data.draw(hnp.arrays(np.float64, (n_train, bands), elements=ints))
+        all_x = data.draw(hnp.arrays(np.float64, (n_all, bands), elements=ints))
+        train_y = data.draw(hnp.arrays(np.int64, n_train, elements=st.integers(1, 4)))
+        k = data.draw(st.integers(1, n_train + 3))
+        with mock.patch.object(classify, "_PREDICT_CHUNK", chunk):
+            got = classify._knn(train_x, train_y, all_x, k)
+        np.testing.assert_array_equal(got, reference_knn(train_x, train_y, all_x, k))
 
 
 class TestEvaluate:

@@ -95,6 +95,35 @@ class TestExitCodes:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_knn_k_below_one_is_exit_two(self, demo_dir, capsys, k):
+        rc = cli_main(classify_args(demo_dir, "out", extra=["--classifier", "knn", f"--knn-k={k}"]))
+        assert rc == 2
+        assert "knn_k" in capsys.readouterr().err
+
+    def test_too_many_classes_fail_before_the_run(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        spio.write_cube(spdlrr.HsiCube(16, 32, rng.random((4, 512))), str(tmp_path / "cube.json"))
+        labels = (np.arange(512) // 2 + 1).reshape(16, 32)  # 256 two-pixel classes
+        spio.write_raster(labels, str(tmp_path / "truth.txt"))
+        out = tmp_path / "out"
+        rc = cli_main(
+            [
+                "classify",
+                "--cube",
+                str(tmp_path / "cube.json"),
+                "--labels",
+                str(tmp_path / "truth.txt"),
+                "--out-dir",
+                str(out),
+                "--seed",
+                "7",
+            ]
+        )
+        assert rc == 2
+        assert "256 classes do not fit 255 distinct gray levels" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
 

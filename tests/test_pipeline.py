@@ -33,6 +33,13 @@ class TestNormalize:
             normalize(HsiCube(1, 2, np.full((3, 2), 4.0)))
 
 
+class TestConfig:
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_knn_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="knn_k"):
+            PipelineConfig(knn_k=k)
+
+
 class TestRun:
     def test_degenerate_singleton_superpixels_smoke(self):
         cube, labels = two_class_cube(height=6, width=6, seed=1)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from spdlrr import (
     refine,
     segment,
 )
+from spdlrr import superpixel
 from spdlrr.superpixel import SuperpixelPartition, first_appearance_ids
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
@@ -198,6 +201,12 @@ class TestRefine:
         with pytest.raises(DegenerateInput):
             refine(part, LabelField(preds), 0.7, 2, np.full((12, 12), 0.5))
 
+    def test_empty_superpixel_id_rejected(self):
+        part = SuperpixelPartition(quadrant_partition().labels, 5)  # id 4 has no pixels
+        preds = LabelField(np.ones((12, 12), int))
+        with pytest.raises(DegenerateInput):
+            refine(part, preds, 0.7, 2, np.full((12, 12), 0.5))
+
     def test_small_noisy_superpixel_becomes_singletons(self):
         labels = np.zeros((2, 3), int)
         labels[:, 1] = 1
@@ -281,3 +290,134 @@ class TestFirstAppearanceIds:
     def test_empty_input(self, keep_zero):
         ids, mapping = first_appearance_ids(np.zeros((0, 3), dtype=np.int64), keep_zero)
         assert ids.shape == (0, 3) and mapping == {}
+
+
+def reference_enforce_connectivity(labels, mask):
+    """Whole-image form of the connectivity pass: one full-image label per
+    id and one full-image nonzero per stray fragment."""
+    out = labels.copy()
+    orphans = []
+    for sid in np.unique(labels[mask]):
+        comp, n_comp = ndimage.label(labels == sid, structure=FOUR)
+        if n_comp <= 1:
+            continue
+        main = int(np.argmax(np.bincount(comp.ravel())[1:])) + 1
+        for part in range(1, n_comp + 1):
+            if part != main:
+                pix = np.nonzero(comp == part)
+                orphans.append(pix)
+                out[pix] = -1
+    if not orphans:
+        return out
+    h, w = labels.shape
+    orphans.sort(key=lambda pix: int(pix[0][0] * w + pix[1][0]))
+    counts = {int(s): int(c) for s, c in zip(*np.unique(out[out >= 0], return_counts=True))}
+    next_label = max(counts) + 1 if counts else 0
+    pending = orphans
+    while pending:
+        deferred = []
+        progressed = False
+        for pix in pending:
+            neigh = set()
+            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                nr = pix[0] + dr
+                nc = pix[1] + dc
+                ok = (nr >= 0) & (nr < h) & (nc >= 0) & (nc < w)
+                vals = out[nr[ok], nc[ok]]
+                neigh.update(int(v) for v in vals[mask[nr[ok], nc[ok]] & (vals >= 0)])
+            if not neigh:
+                deferred.append(pix)
+                continue
+            target = max(neigh, key=lambda s: (counts[s], -s))
+            out[pix] = target
+            counts[target] += len(pix[0])
+            progressed = True
+        if deferred and not progressed:
+            pix = deferred.pop(0)
+            out[pix] = next_label
+            counts[next_label] = len(pix[0])
+            next_label += 1
+        pending = deferred
+    return out
+
+
+def reference_refine(partition, predictions, delta, m_split, base):
+    """refine with a full-image mask per superpixel and the whole-image
+    connectivity pass."""
+    preds = predictions.labels
+    h, w = partition.labels.shape
+    n_classes = int(preds.max())
+    out = np.full((h, w), -1, dtype=np.int64)
+    next_id = 0
+    for sid in range(partition.count):
+        member = partition.labels == sid
+        hist = np.bincount(preds[member], minlength=n_classes + 1)[1:]
+        if hist.max() / hist.sum() >= delta:
+            out[member] = next_id
+            next_id += 1
+            continue
+        rs, cs = np.nonzero(member)
+        if rs.size < m_split:
+            out[rs, cs] = next_id + np.arange(rs.size)
+            next_id += rs.size
+            continue
+        r0, r1, c0, c1 = superpixel._enclosing_square(rs, cs, h, w)
+        window = np.s_[r0 : r1 + 1, c0 : c1 + 1]
+        with mock.patch.object(
+            superpixel, "_enforce_connectivity", reference_enforce_connectivity
+        ):
+            sub_labels, n_sub = superpixel._slic(base[window], member[window], m_split)
+        inside = member[window]
+        out[window][inside] = sub_labels[inside] + next_id
+        next_id += n_sub
+    return SuperpixelPartition(out, next_id)
+
+
+def kmeans_labels(img, mask, target):
+    """The k-means assignment that _slic hands to the connectivity pass."""
+    h, w = img.shape
+    rows, cols = superpixel._grid_shape(h, w, target)
+    centers = superpixel._init_centers(img, rows, cols)
+    step = np.sqrt(h * w / centers.shape[0])
+    labels = superpixel._kmeans_sweeps(img, mask, centers, step)
+    labels[mask] = first_appearance_ids(labels[mask])[0]
+    return labels
+
+
+def fragment_count(labels, mask):
+    return sum(
+        ndimage.label(labels == sid, structure=FOUR)[1] - 1 for sid in np.unique(labels[mask])
+    )
+
+
+class TestBoundingBoxEquivalence:
+    """The bounding-box forms of the connectivity pass and of refine give the
+    whole-image forms' output exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_connectivity_matches_whole_image_form(self, seed, partial):
+        img = smooth_image(seed, 90, 110)
+        mask = np.ones(img.shape, dtype=bool)
+        if partial:
+            # Irregular mask with holes and detached islands, as a noisy
+            # superpixel leaves inside its enclosing square.
+            rng = np.random.default_rng(seed)
+            mask = ndimage.gaussian_filter(rng.standard_normal(img.shape), 4) > -0.02
+        labels = kmeans_labels(img, mask, 40)
+        assert fragment_count(labels, mask) >= 200
+        got = superpixel._enforce_connectivity(labels, mask)
+        np.testing.assert_array_equal(got, reference_enforce_connectivity(labels, mask))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_refine_matches_whole_image_form(self, seed):
+        img = smooth_image(seed, 60, 70)
+        part = segment(img, 12, seed=0)
+        rng = np.random.default_rng(seed)
+        preds = LabelField(rng.integers(1, 4, size=img.shape))
+        preds.labels[:, :30] = 1  # a mix of kept and split superpixels
+        got = refine(part, preds, 0.5, 6, img)
+        want = reference_refine(part, preds, 0.5, 6, img)
+        assert part.count < want.count
+        assert got.count == want.count
+        np.testing.assert_array_equal(got.labels, want.labels)
