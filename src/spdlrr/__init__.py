@@ -15,6 +15,7 @@ from .errors import (
     DegenerateInput,
     FormatError,
     NonFiniteData,
+    SolverDiverged,
     SpdlrrError,
     SvdFailure,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "SolveTrace",
+    "SolverDiverged",
     "SolverState",
     "SpdlrrError",
     "SuperpixelPartition",

@@ -74,17 +74,22 @@ def split(labels, percent, seed):
     return TrainSplit(train.reshape(shape), test.reshape(shape), seed, percent)
 
 
+def _sq_distances(rows, ref):
+    """sum(r**2) - 2 r.f + sum(f**2) for every row r and ref row f: that
+    expression's steps in its order (so to the bit), but in place."""
+    tmp = np.square(rows)
+    sq_rows = tmp.sum(axis=1)[:, None]
+    d2 = np.multiply(rows, 2.0, out=tmp) @ ref.T
+    return np.add(np.subtract(sq_rows, d2, out=d2), np.sum(ref**2, axis=1), out=d2)
+
+
 def _nearest_centroid(train_x, train_y, all_x):
     classes = np.unique(train_y)
     centroids = np.stack([train_x[train_y == c].mean(axis=0) for c in classes])
     pred = np.empty(all_x.shape[0], dtype=np.int64)
     for start in range(0, all_x.shape[0], _PREDICT_CHUNK):
         chunk = all_x[start : start + _PREDICT_CHUNK]
-        d2 = (
-            np.sum(chunk**2, axis=1)[:, None]
-            - 2.0 * chunk @ centroids.T
-            + np.sum(centroids**2, axis=1)[None, :]
-        )
+        d2 = _sq_distances(chunk, centroids)
         pred[start : start + chunk.shape[0]] = classes[np.argmin(d2, axis=1)]
     return pred
 
@@ -95,11 +100,10 @@ def _knn(train_x, train_y, all_x, k):
     k = min(k, train_x.shape[0])
     n_classes = int(train_y.max())
     pred = np.empty(all_x.shape[0], dtype=np.int64)
-    sq_train = np.sum(train_x**2, axis=1)
     for start in range(0, all_x.shape[0], _PREDICT_CHUNK):
         chunk = all_x[start : start + _PREDICT_CHUNK]
         n = chunk.shape[0]
-        d2 = np.sum(chunk**2, axis=1)[:, None] - 2.0 * chunk @ train_x.T + sq_train
+        d2 = _sq_distances(chunk, train_x)
         # The k nearest are those within the k-th smallest distance, unless
         # a tie straddles it; there a stable sort takes equidistant
         # neighbours by training index.

@@ -5,8 +5,8 @@ superpixel raster), segment (emit a superpixel raster), classify (the full
 pipeline), and metrics (score a predictions raster against ground truth).
 
 A --config file supplies defaults for the flags of the same name; flags win.
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 non-converged
-solve under --strict.
+Exit codes: 0 success, 1 usage error, 2 data/format error or a solve whose
+iterates turned NaN or infinite, 3 non-converged solve under --strict.
 """
 
 import argparse
@@ -19,7 +19,7 @@ import numpy as np
 from . import io as spio
 from .classify import LabelField, evaluate
 from .cube import HsiCube
-from .errors import DegenerateInput, FormatError, NonFiniteData, SvdFailure
+from .errors import DegenerateInput, FormatError, NonFiniteData, SolverDiverged, SvdFailure
 from .pipeline import PipelineConfig, run
 from .solver import BlockPartition, DlrrParams, solve
 from .superpixel import first_appearance_ids, project_base_image, segment
@@ -228,7 +228,7 @@ def cli_main(argv):
     except NotConvergedStrict:
         print("solver did not converge (--strict)", file=sys.stderr)
         return 3
-    except (FormatError, NonFiniteData, DegenerateInput, SvdFailure, OSError, ValueError) as exc:
+    except (FormatError, NonFiniteData, DegenerateInput, SvdFailure, SolverDiverged, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse --help

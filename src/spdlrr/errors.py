@@ -11,7 +11,11 @@ class DegenerateInput(SpdlrrError, ValueError):
 
 
 class SvdFailure(SpdlrrError, RuntimeError):
-    """The SVD backend did not converge."""
+    """The SVD backend did not converge, or was given NaN or infinite entries."""
+
+
+class SolverDiverged(SpdlrrError, ArithmeticError):
+    """A solver iterate turned NaN or infinite."""
 
 
 class FormatError(SpdlrrError, ValueError):

@@ -9,6 +9,8 @@ import scipy.linalg
 
 from .errors import SvdFailure
 
+_GRAM_FLOOR = 1e-3  # see subgradient_with_norm
+
 
 def soft_threshold(x, eps):
     """Shrink toward zero: sgn(x) * max(|x| - eps, 0), elementwise."""
@@ -18,10 +20,12 @@ def soft_threshold(x, eps):
 def thin_svd(a):
     """Thin SVD (U, s, Vt) with s non-increasing.
 
-    Uses the fast gesdd driver and falls back to the more robust gesvd
-    before giving up with SvdFailure.
+    Uses the fast gesdd driver, then the more robust gesvd, before giving up
+    with SvdFailure; a NaN or infinite entry raises it at once.
     """
     a = np.asarray(a, dtype=np.float64)
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise SvdFailure(f"non-finite entries in a {a.shape} matrix")
     try:
         return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
@@ -77,9 +81,33 @@ def nuclear_subgradient(a, rank_tol=1e-10):
 
 
 def subgradient_with_norm(a, rank_tol=1e-10):
-    """(nuclear_subgradient(a, rank_tol), ||a||_*) from one SVD."""
+    """(nuclear_subgradient(a, rank_tol), ||a||_*) from one factorization.
+
+    If every singular value exceeds max(_GRAM_FLOOR, rank_tol) * ||a||_F, as a
+    Cholesky factorization of the smaller-side Gram matrix G minus that bound
+    squared tells, a is factored by G's eigenvectors V: B = V^T a, sigma = the
+    row norms of B, subgradient V diag(1/sigma) B.  Otherwise one thin SVD:
+    squaring into G loses singular values far below the largest.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    t = a.T if a.shape[0] > a.shape[1] else a  # rows are the smaller side
+    g = t @ t.T
+    diag = g.ravel()[:: g.shape[0] + 1]  # a writable view of G's diagonal
+    saved = diag.copy()
+    shift = max(_GRAM_FLOOR, rank_tol) ** 2 * saved.sum()
+    if 0.0 < shift < np.inf:  # G - shift I is positive definite iff its Cholesky succeeds
+        diag -= shift
+        info = scipy.linalg.lapack.dpotrf(g)[1]
+        diag[:] = saved
+        if info == 0:
+            v = np.linalg.eigh(g)[1]
+            b = v.T @ t
+            s = np.sqrt(np.einsum("ij,ij->i", b, b))
+            b /= s[:, None]
+            return (v @ b if t is a else b.T @ v.T), float(s.sum())  # C-ordered, as a is
+    del g
     u, s, vt = thin_svd(a)
     if s.size == 0 or s[0] <= 0.0:
-        return np.zeros_like(np.asarray(a, dtype=np.float64)), 0.0
+        return np.zeros_like(a), 0.0
     keep = s > rank_tol * s[0]
     return u[:, keep] @ vt[keep, :], float(s.sum())

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SvdFailure
+from .errors import SolverDiverged, SvdFailure
 from .linalg import max_norm, nuclear_norm, soft_threshold, subgradient_with_norm, svt_with_norm
 from .linalg import nuclear_subgradient, svt  # noqa: F401  (bench/tracing.py wraps these names here)
 
@@ -88,14 +88,14 @@ class BlockPartition:
 
 @dataclass
 class SolverState:
-    """All iterates of the solver, shaped like X, plus what the last SVDs
-    gave about L and J.
+    """All iterates of the solver, shaped like X, plus what the last
+    factorizations gave about L and J.
 
     L_norm is (L, sum_i ||L_i||_*) as update_L_blocks left it; J_factor is
     (J, nuclear subgradient at J, ||J||_*).  Each holds the array it was
     computed from and is used only while that array is still state.L or
-    state.J, so a caller that replaces either gets fresh SVDs (one that
-    writes into them in place does not).
+    state.J, so a caller that replaces either gets fresh factorizations (one
+    that writes into them in place does not).
     """
 
     L: np.ndarray
@@ -167,9 +167,9 @@ def update_E(state, x, lam):
 
 
 def factor_J(state):
-    """(nuclear subgradient at state.J, ||state.J||_*), from one SVD per J
-    array: lagrangian_value factors the J that update_J forms, and the next
-    update_J reuses that factorization."""
+    """(nuclear subgradient at state.J, ||state.J||_*), from one Gram or SVD
+    factorization per J array (subgradient_with_norm): lagrangian_value
+    factors the J that update_J forms, and the next update_J reuses it."""
     if state.J_factor is None or state.J_factor[0] is not state.J:
         state.J_factor = (state.J, *subgradient_with_norm(state.J))
     return state.J_factor[1:]
@@ -213,7 +213,7 @@ def lagrangian_value(state, x, partition, params):
     square instead would only add ||Y||_F^2 / (2 mu), a constant in the
     optimization variables that obscures convergence of the logged value.)
 
-    The nuclear norms come from the SVDs of the L and J updates (see
+    The nuclear norms come from the L and J updates' factorizations (see
     SolverState), so they can differ from a fresh SVD in the last digits."""
     if state.L_norm is not None and state.L_norm[0] is state.L:
         val = state.L_norm[1]
@@ -237,8 +237,8 @@ def solve(x, partition, params, callback=None, log_objective=True):
     (L, E, trace, converged); when max_iter is exhausted the last iterate is
     returned with converged=False.  `callback(state)` fires after each
     iteration; `log_objective=False` records NaN objectives.  An iteration
-    takes one SVD per block, plus one of J when beta > 0; the objective
-    reuses them.
+    takes one SVD per block, plus one factorization of J when beta > 0; the
+    objective reuses them.  A NaN or infinite residual raises SolverDiverged.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
@@ -259,6 +259,8 @@ def solve(x, partition, params, callback=None, log_objective=True):
         update_multipliers(state, x, params.rho, params.mu_max)
         r1 = max_norm(x - state.L - state.E)
         r2 = max_norm(state.J - state.L)
+        if not np.isfinite(r1 + r2):
+            raise SolverDiverged(f"iteration {state.iteration}: residuals r1={r1}, r2={r2}")
         trace.append(r1, r2, obj, mu_used)
         if callback is not None:
             callback(state)

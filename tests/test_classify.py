@@ -175,6 +175,28 @@ class TestKnnSelection:
         np.testing.assert_array_equal(got, reference_knn(train_x, train_y, all_x, k))
 
 
+class TestSquaredDistances:
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 40),
+        st.integers(1, 20),
+        st.integers(1, 9),
+        st.booleans(),
+        st.floats(min_value=-3.0, max_value=3.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_the_plain_expression(self, seed, n_rows, n_ref, bands, pixel_view, log_scale):
+        rng = np.random.default_rng(seed)
+        features = 10.0**log_scale * rng.standard_normal((bands, n_rows + 3))
+        # train_predict hands the classifiers rows of the transposed
+        # bands x pixels matrix, sliced into chunks.
+        all_x = features.T if pixel_view else np.ascontiguousarray(features.T)
+        rows = all_x[1 : 1 + n_rows]
+        ref = all_x[rng.integers(0, n_rows + 3, n_ref)] + rng.standard_normal((n_ref, bands))
+        expected = np.sum(rows**2, axis=1)[:, None] - 2.0 * rows @ ref.T + np.sum(ref**2, axis=1)
+        assert np.array_equal(classify._sq_distances(rows, ref), expected)
+
+
 class TestEvaluate:
     def test_perfect_agreement(self):
         _, field = blob_instance()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spdlrr
-from spdlrr import DlrrParams, PipelineConfig, cli
+from spdlrr import DlrrParams, PipelineConfig, cli, solver
 from spdlrr import io as spio
 from spdlrr.cli import cli_main
 from spdlrr.synthetic import rpca_instance, two_class_cube
@@ -123,6 +123,27 @@ class TestExitCodes:
         assert rc == 2
         assert "256 classes do not fit 255 distinct gray levels" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf in the objective
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_diverged_solve_is_exit_two(self, demo_dir, capsys, monkeypatch, value):
+        real_update_E = solver.update_E
+
+        def corrupted(state, x, lam):
+            E = real_update_E(state, x, lam)
+            E[0, 0] = value
+            return E
+
+        monkeypatch.setattr(solver, "update_E", corrupted)
+        spio.write_raster(np.zeros((12, 12), int), str(demo_dir / "part.txt"))
+        out = demo_dir / "out"
+        rc = cli_main(
+            ["decompose", "--cube", str(demo_dir / "cube.json"), "--partition",
+             str(demo_dir / "part.txt"), "--out-dir", str(out)]
+        )
+        assert rc == 2
+        assert "iteration 1: residuals" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0

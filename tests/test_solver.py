@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 import spdlrr.linalg
+import spdlrr.solver
 from spdlrr import (
     BlockPartition,
     DlrrParams,
+    SolverDiverged,
     SolverState,
+    SvdFailure,
     max_norm,
     nuclear_norm,
     nuclear_subgradient,
@@ -408,3 +411,32 @@ class TestSolve:
         trace = rpca_result["trace"]
         n = trace.iterations
         assert len(trace.r1) == len(trace.r2) == len(trace.objective) == len(trace.mu) == n
+
+
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf in the objective
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_residual_raises(self, four_block_instance, monkeypatch, value):
+        x, part, lam = four_block_instance
+        real_update_E = spdlrr.solver.update_E
+
+        def corrupted(state, x, lam):
+            E = real_update_E(state, x, lam)
+            if state.iteration == 3:
+                E[0, 0] = value
+            return E
+
+        monkeypatch.setattr(spdlrr.solver, "update_E", corrupted)
+        with pytest.raises(SolverDiverged, match="iteration 3"):
+            solve(x, part, DlrrParams(lam=lam, max_iter=10, eps=1e-30))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_multiplier_fails_the_next_block_svd(self, four_block_instance, value):
+        x, part, lam = four_block_instance
+
+        def corrupt(state):
+            if state.iteration == 2:
+                state.Y1[0, 12] = value  # a column of block 1
+
+        with pytest.raises(SvdFailure, match="block 1: non-finite"):
+            solve(x, part, DlrrParams(lam=lam, max_iter=10, eps=1e-30), callback=corrupt)
