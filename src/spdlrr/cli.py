@@ -19,7 +19,7 @@ import numpy as np
 from . import io as spio
 from .classify import LabelField, evaluate
 from .cube import HsiCube
-from .errors import DegenerateInput, FormatError, NonFiniteData, SolverDiverged, SvdFailure
+from .errors import FormatError, SpdlrrError
 from .pipeline import PipelineConfig, run
 from .solver import BlockPartition, DlrrParams, solve
 from .superpixel import first_appearance_ids, project_base_image, segment
@@ -228,7 +228,7 @@ def cli_main(argv):
     except NotConvergedStrict:
         print("solver did not converge (--strict)", file=sys.stderr)
         return 3
-    except (FormatError, NonFiniteData, DegenerateInput, SvdFailure, SolverDiverged, OSError, ValueError) as exc:
+    except (SpdlrrError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse --help

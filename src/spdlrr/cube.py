@@ -43,13 +43,6 @@ class HsiCube:
         """Band b as an (height, width) array."""
         return self.x[b].reshape(self.height, self.width)
 
-    @classmethod
-    def from_bands(cls, stack):
-        """Build a cube from a (bands, height, width) array."""
-        stack = np.asarray(stack, dtype=np.float64)
-        bands, h, w = stack.shape
-        return cls(h, w, stack.reshape(bands, h * w))
-
 
 def normalize(cube):
     """Min-max rescale all entries of the cube into [0, 1] globally."""

@@ -75,12 +75,13 @@ def load_cube(manifest_path):
         raise FormatError(f"{manifest_path}: unsupported dtype {manifest['dtype']!r}")
     if manifest["layout"] != "bsq":
         raise FormatError(f"{manifest_path}: unsupported layout {manifest['layout']!r}")
-    try:
-        h, w, b = int(manifest["height"]), int(manifest["width"]), int(manifest["bands"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{manifest_path}: non-integer dimensions") from exc
+    h, w, b = manifest["height"], manifest["width"], manifest["bands"]
+    if not all(type(v) is int for v in (h, w, b)):  # rejects 1.5 and true
+        raise FormatError(f"{manifest_path}: non-integer dimensions")
     if h < 1 or w < 1 or b < 1:
         raise FormatError(f"{manifest_path}: dimensions must be positive")
+    if not isinstance(manifest["data_path"], str):
+        raise FormatError(f"{manifest_path}: data_path must be a string")
     data_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), manifest["data_path"])
     expected = h * w * b * 4
     actual = os.path.getsize(data_path)
@@ -94,11 +95,10 @@ def load_cube(manifest_path):
     return HsiCube(h, w, raw.reshape(b, h * w).astype(np.float64))
 
 
-def write_cube(cube, manifest_path, data_filename=None):
-    """Write a cube as raw f32le BSQ plus its manifest."""
-    if data_filename is None:
-        stem = os.path.splitext(os.path.basename(manifest_path))[0]
-        data_filename = stem + ".raw"
+def write_cube(cube, manifest_path):
+    """Write a cube as raw f32le BSQ plus its manifest; the raw file sits
+    next to the manifest, named after it with a .raw suffix."""
+    data_filename = os.path.splitext(os.path.basename(manifest_path))[0] + ".raw"
     data_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), data_filename)
     payload = np.ascontiguousarray(cube.x, dtype="<f4").tobytes()
     _atomic_write_bytes(data_path, payload)

@@ -168,8 +168,8 @@ def update_E(state, x, lam):
 
 def factor_J(state):
     """(nuclear subgradient at state.J, ||state.J||_*), from one Gram or SVD
-    factorization per J array (subgradient_with_norm): lagrangian_value
-    factors the J that update_J forms, and the next update_J reuses it."""
+    factorization per J array (subgradient_with_norm): update_J factors the
+    J it forms, and lagrangian_value and the next update_J read it."""
     if state.J_factor is None or state.J_factor[0] is not state.J:
         state.J_factor = (state.J, *subgradient_with_norm(state.J))
     return state.J_factor[1:]
@@ -178,36 +178,30 @@ def factor_J(state):
 def update_J(state, beta):
     """Linearized update of the auxiliary variable: the concave global term
     is replaced by its tangent at the previous iteration's J, giving
-    J = (beta/mu) * subgradient(J_prev) - Y2/mu + L."""
+    J = (beta/mu) * subgradient(J_prev) - Y2/mu + L.  For beta > 0 the new
+    J is factored here, once the old subgradient is freed."""
     if beta == 0.0:
         state.J = state.L - state.Y2 / state.mu
     else:
-        grad = factor_J(state)[0]
-        state.J = (beta / state.mu) * grad - state.Y2 / state.mu + state.L
-    state.J_factor = None  # frees the old subgradient before the new J is factored
+        state.J = (beta / state.mu) * factor_J(state)[0] - state.Y2 / state.mu + state.L
+        state.J_factor = None  # frees the old subgradient before the new J is factored
+        factor_J(state)
     return state.J
 
 
-def update_multipliers(state, x, rho, mu_max):
-    """Dual ascent on both constraints, then grow the penalty weight."""
-    state.Y1 = state.Y1 + state.mu * (x - state.L - state.E)
-    state.Y2 = state.Y2 + state.mu * (state.J - state.L)
+def update_multipliers(state, r1, r2, rho, mu_max):
+    """Dual ascent on both constraints from their residuals r1 = X - L - E
+    and r2 = J - L, in place, then grow the penalty weight."""
+    state.Y1 += state.mu * r1
+    state.Y2 += state.mu * r2
     state.mu = min(mu_max, rho * state.mu)
-    return state.Y1, state.Y2, state.mu
 
 
-def check_convergence(state, x, eps):
-    """True iff both constraint residuals are within eps in max norm."""
-    return (
-        max_norm(x - state.L - state.E) <= eps
-        and max_norm(state.L - state.J) <= eps
-    )
-
-
-def lagrangian_value(state, x, partition, params):
+def lagrangian_value(state, r1, r2, partition, params):
     """Augmented Lagrangian of the split model at the current iterate,
-    evaluated with the multipliers and penalty weight in effect:
-    model terms + <Y1, X-L-E> + <Y2, J-L> + (mu/2)(||X-L-E||_F^2 + ||J-L||_F^2).
+    evaluated with the multipliers and penalty weight in effect and the
+    constraint residuals r1 = X - L - E and r2 = J - L:
+    model terms + <Y1, r1> + <Y2, r2> + (mu/2)(||r1||_F^2 + ||r2||_F^2).
 
     (The multiplier terms are written in inner-product form; completing the
     square instead would only add ||Y||_F^2 / (2 mu), a constant in the
@@ -222,23 +216,23 @@ def lagrangian_value(state, x, partition, params):
     val += params.lam * float(np.abs(state.E).sum())
     if params.beta != 0.0:
         val -= params.beta * factor_J(state)[1]
-    r1 = x - state.L - state.E
-    r2 = state.J - state.L
     val += float(np.sum(state.Y1 * r1)) + float(np.sum(state.Y2 * r2))
     val += 0.5 * state.mu * (float(np.sum(r1 * r1)) + float(np.sum(r2 * r2)))
     return float(val)
 
 
-def solve(x, partition, params, callback=None, log_objective=True):
+def solve(x, partition, params, callback=None):
     """Run the alternating closed-form updates from the all-zeros start.
 
-    Per iteration: all block L_i updates, then E, then J, then the
-    multipliers and mu, then the convergence test.  Returns
-    (L, E, trace, converged); when max_iter is exhausted the last iterate is
-    returned with converged=False.  `callback(state)` fires after each
-    iteration; `log_objective=False` records NaN objectives.  An iteration
-    takes one SVD per block, plus one factorization of J when beta > 0; the
-    objective reuses them.  A NaN or infinite residual raises SolverDiverged.
+    Per iteration: all block L_i updates, then E, then J, then the two
+    constraint residuals X - L - E and J - L, formed once.  Their max norms
+    are checked first (NaN or Inf raises SolverDiverged); then the objective
+    and the multiplier step read the same arrays, and the max norms are the
+    convergence test (both <= eps).  Returns (L, E, trace, converged); when
+    max_iter is exhausted the last iterate is returned with converged=False.
+    `callback(state)` fires after each iteration.  An iteration takes one SVD
+    per block, plus one factorization of J (in update_J) when beta > 0; the
+    objective reuses them.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
@@ -254,17 +248,17 @@ def solve(x, partition, params, callback=None, log_objective=True):
         update_L_blocks(state, x, partition)
         update_E(state, x, params.lam)
         update_J(state, params.beta)
-        obj = lagrangian_value(state, x, partition, params) if log_objective else np.nan
-        mu_used = state.mu
-        update_multipliers(state, x, params.rho, params.mu_max)
-        r1 = max_norm(x - state.L - state.E)
-        r2 = max_norm(state.J - state.L)
-        if not np.isfinite(r1 + r2):
-            raise SolverDiverged(f"iteration {state.iteration}: residuals r1={r1}, r2={r2}")
-        trace.append(r1, r2, obj, mu_used)
+        r1 = x - state.L - state.E
+        r2 = state.J - state.L
+        n1, n2 = max_norm(r1), max_norm(r2)
+        if not np.isfinite(n1 + n2):
+            raise SolverDiverged(f"iteration {state.iteration}: residuals r1={n1}, r2={n2}")
+        trace.append(n1, n2, lagrangian_value(state, r1, r2, partition, params), state.mu)
+        update_multipliers(state, r1, r2, params.rho, params.mu_max)
+        del r1, r2  # not held through the next iteration's updates
         if callback is not None:
             callback(state)
-        if r1 <= params.eps and r2 <= params.eps:
+        if n1 <= params.eps and n2 <= params.eps:
             converged = True
             break
     return state.L, state.E, trace, converged

@@ -77,6 +77,17 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    def test_non_string_data_path_is_exit_two(self, demo_dir, capsys):
+        manifest_path = demo_dir / "cube.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["data_path"] = 5
+        manifest_path.write_text(json.dumps(manifest))
+        out = demo_dir / "p.txt"
+        rc = cli_main(["segment", "--cube", str(manifest_path), "--out", str(out)])
+        assert rc == 2
+        assert "data_path must be a string" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_exit_two(self, tmp_path, capsys):
         rc = cli_main(
             [
@@ -124,7 +135,6 @@ class TestExitCodes:
         assert "256 classes do not fit 255 distinct gray levels" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf in the objective
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_diverged_solve_is_exit_two(self, demo_dir, capsys, monkeypatch, value):
         real_update_E = solver.update_E

@@ -75,6 +75,9 @@ class TestCubeRoundTrip:
             {"dtype": "f64le"},
             {"layout": "bil"},
             {"height": 0},
+            {"height": 1.5},
+            {"height": True},
+            {"data_path": 5},
             {"extra": 1},
         ],
     )

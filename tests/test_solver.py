@@ -18,7 +18,6 @@ from spdlrr import (
 )
 from spdlrr.solver import (
     block_target,
-    check_convergence,
     lagrangian_value,
     update_E,
     update_J,
@@ -215,54 +214,49 @@ class TestUpdateJ:
 class TestUpdateMultipliers:
     def test_zero_residuals_keep_multipliers(self):
         state = fresh_state((3, 4), seed=3)
-        x = state.L + state.E
-        state.J = state.L.copy()
+        zero = np.zeros_like(state.L)
         y1, y2, mu_before = state.Y1.copy(), state.Y2.copy(), state.mu
-        update_multipliers(state, x, rho=1.1, mu_max=1e12)
-        np.testing.assert_allclose(state.Y1, y1)
-        np.testing.assert_allclose(state.Y2, y2)
+        update_multipliers(state, zero, zero, rho=1.1, mu_max=1e12)
+        np.testing.assert_array_equal(state.Y1, y1)
+        np.testing.assert_array_equal(state.Y2, y2)
         assert state.mu == pytest.approx(1.1 * mu_before)
 
     def test_mu_cap(self):
         state = fresh_state((2, 2), mu=5.0)
-        update_multipliers(state, np.zeros((2, 2)), rho=1.1, mu_max=5.0)
+        update_multipliers(state, np.zeros((2, 2)), np.zeros((2, 2)), rho=1.1, mu_max=5.0)
         assert state.mu == 5.0
 
     def test_matches_direct_formulas(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((3, 5))
         state = fresh_state(x.shape, seed=8)
-        y1 = state.Y1 + state.mu * (x - state.L - state.E)
-        y2 = state.Y2 + state.mu * (state.J - state.L)
+        r1, r2 = x - state.L - state.E, state.J - state.L
+        y1 = state.Y1 + state.mu * r1
+        y2 = state.Y2 + state.mu * r2
         mu = min(1e12, 1.1 * state.mu)
-        update_multipliers(state, x, rho=1.1, mu_max=1e12)
-        np.testing.assert_allclose(state.Y1, y1)
-        np.testing.assert_allclose(state.Y2, y2)
+        update_multipliers(state, r1, r2, rho=1.1, mu_max=1e12)
+        np.testing.assert_array_equal(state.Y1, y1)
+        np.testing.assert_array_equal(state.Y2, y2)
         assert state.mu == pytest.approx(mu)
 
 
-class TestCheckConvergence:
-    def test_exact_fit(self):
-        x = np.random.default_rng(0).standard_normal((3, 3))
-        state = fresh_state(x.shape)
-        state.L = x.copy()
-        state.J = x.copy()
-        assert check_convergence(state, x, eps=1e-6)
-
-    def test_off_by_ten_eps(self):
-        x = np.zeros((2, 2))
-        state = fresh_state(x.shape)
-        state.E[0, 0] = 1e-5
-        assert not check_convergence(state, x, eps=1e-6)
-
-    def test_boundary_is_inclusive(self):
-        x = np.zeros((2, 2))
-        state = fresh_state(x.shape)
-        state.E[0, 0] = 1e-6
-        assert check_convergence(state, x, eps=1e-6)
-
-
 class TestSolve:
+    def test_stopping_rule_is_inclusive(self, four_block_instance):
+        x, part, lam = four_block_instance
+        _, _, first, converged = solve(x, part, DlrrParams(lam=lam, max_iter=1))
+        assert not converged
+        eps = max(first.r1[0], first.r2[0])
+        _, _, trace, converged = solve(x, part, DlrrParams(lam=lam, max_iter=5, eps=eps))
+        assert converged and trace.iterations == 1
+
+    def test_recorded_residuals_match_fresh_ones(self, four_block_instance):
+        x, part, lam = four_block_instance
+        fresh = []
+        record = lambda s: fresh.append((max_norm(x - s.L - s.E), max_norm(s.J - s.L)))
+        _, _, trace, _ = solve(x, part, DlrrParams(lam=lam, max_iter=30, eps=1e-30), callback=record)
+        assert len(fresh) == trace.iterations == 30
+        assert fresh == list(zip(trace.r1, trace.r2))
+
     def test_zero_matrix_converges_immediately(self):
         x = np.zeros((4, 6))
         part = BlockPartition([[0, 1, 2], [3, 4, 5]], 6)
@@ -377,7 +371,7 @@ class TestSolve:
         for name in calls:
             monkeypatch.setattr(spdlrr.linalg, name, counted(name))
         params = DlrrParams(lam=lam, beta=1.0, mu0=0.1, max_iter=25, eps=1e-30)
-        _, _, trace, _ = solve(x, part, params, log_objective=True)
+        _, _, trace, _ = solve(x, part, params)
         n = trace.iterations
         assert n == 25 and np.isfinite(trace.objective).all()
         assert calls["thin_svd"] <= n * (part.n_blocks + 1) + 1
@@ -390,7 +384,7 @@ class TestSolve:
         update_L_blocks(state, x, part)
         update_E(state, x, lam)
         update_J(state, params.beta)
-        lagrangian_value(state, x, part, params)  # factors this J
+        assert state.J_factor[0] is state.J  # update_J factors the J it forms
         state.J = np.full_like(x, 2.0)  # rank one: subgradient u v^T
         y2, mu = state.Y2.copy(), state.mu
         update_J(state, params.beta)
@@ -405,7 +399,8 @@ class TestSolve:
         state.L = x.copy()
         state.J = x.copy()
         expected = sum(nuclear_norm(x[:, cols]) for cols in part.block_columns)
-        assert lagrangian_value(state, x, part, params) == pytest.approx(expected, rel=1e-12)
+        value = lagrangian_value(state, x - state.L - state.E, state.J - state.L, part, params)
+        assert value == pytest.approx(expected, rel=1e-12)
 
     def test_trace_lengths_match_iterations(self, rpca_result):
         trace = rpca_result["trace"]
@@ -414,7 +409,6 @@ class TestSolve:
 
 
 class TestDivergence:
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf in the objective
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_residual_raises(self, four_block_instance, monkeypatch, value):
         x, part, lam = four_block_instance
