@@ -9,6 +9,7 @@ import json
 import math
 import os
 import tempfile
+from io import StringIO
 
 import numpy as np
 
@@ -59,15 +60,26 @@ def _atomic_write_text(path, text):
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _open_text(path):
+    """The file as a UTF-8 text stream with universal newlines, as open()
+    gives it; bytes that are not UTF-8 raise FormatError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_cube(manifest_path):
     """Read a cube described by a JSON manifest next to its raw payload.
 
     The payload is little-endian float32, band-sequential: band-major, then
     row-major within each band."""
+    text = _open_text(manifest_path)
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+        manifest = json.load(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: also over-long integers
         raise FormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or set(manifest) != MANIFEST_KEYS:
         raise FormatError(f"{manifest_path}: manifest must have keys {sorted(MANIFEST_KEYS)}")
@@ -80,8 +92,8 @@ def load_cube(manifest_path):
         raise FormatError(f"{manifest_path}: non-integer dimensions")
     if h < 1 or w < 1 or b < 1:
         raise FormatError(f"{manifest_path}: dimensions must be positive")
-    if not isinstance(manifest["data_path"], str):
-        raise FormatError(f"{manifest_path}: data_path must be a string")
+    if not isinstance(manifest["data_path"], str) or "\0" in manifest["data_path"]:
+        raise FormatError(f"{manifest_path}: data_path must be a string without NUL")
     data_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), manifest["data_path"])
     expected = h * w * b * 4
     actual = os.path.getsize(data_path)
@@ -116,27 +128,30 @@ def write_cube(cube, manifest_path):
 def load_raster(path):
     """Read a text raster: a 'height width' line, then height rows of width
     non-negative integers.  Only blank lines may follow the last row."""
+    fh = _open_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = fh.readline().split()
-            if len(tokens) != 2:
-                raise FormatError(f"{path}: first line must be 'height width'")
-            h, w = int(tokens[0]), int(tokens[1])
-            if h < 1 or w < 1:
-                raise FormatError(f"{path}: dimensions must be positive")
-            rows = []
-            for i in range(h):
-                row = fh.readline().split()
-                if len(row) != w:
-                    raise FormatError(f"{path}: row {i} has {len(row)} of {w} values")
-                rows.append([int(v) for v in row])
-            if any(line.strip() for line in fh):
-                raise FormatError(f"{path}: data after the {h} declared rows")
+        tokens = fh.readline().split()
+        if len(tokens) != 2:
+            raise FormatError(f"{path}: first line must be 'height width'")
+        h, w = int(tokens[0]), int(tokens[1])
+        if h < 1 or w < 1:
+            raise FormatError(f"{path}: dimensions must be positive")
+        rows = []
+        for i in range(h):
+            row = fh.readline().split()
+            if len(row) != w:
+                raise FormatError(f"{path}: row {i} has {len(row)} of {w} values")
+            rows.append([int(v) for v in row])
+        if any(line.strip() for line in fh):
+            raise FormatError(f"{path}: data after the {h} declared rows")
     except FormatError:
         raise
     except ValueError as exc:
         raise FormatError(f"{path}: non-integer raster value") from exc
-    grid = np.array(rows, dtype=np.int64)
+    try:
+        grid = np.array(rows, dtype=np.int64)
+    except OverflowError as exc:
+        raise FormatError(f"{path}: raster value out of the 64-bit range") from exc
     if (grid < 0).any():
         raise FormatError(f"{path}: raster values must be non-negative")
     return grid
@@ -219,20 +234,19 @@ def load_config(path):
     """Parse a flat 'key = value' config file.  Blank lines and '#' comments
     are allowed; unknown keys are rejected."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = CONFIG_KEYS[key](raw)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}") from exc
+    for lineno, line in enumerate(_open_text(path), 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise FormatError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = CONFIG_KEYS[key](raw)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}") from exc
     return values
 
 

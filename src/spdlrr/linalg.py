@@ -9,7 +9,7 @@ import scipy.linalg
 
 from .errors import SvdFailure
 
-_GRAM_FLOOR = 1e-3  # see subgradient_with_norm
+_GRAM_FLOOR = 1e-3  # see _gram_factor
 
 
 def soft_threshold(x, eps):
@@ -53,9 +53,25 @@ def svt(a, tau):
     return svt_with_norm(a, tau)[0]
 
 
-def svt_with_norm(a, tau):
-    """(svt(a, tau), its nuclear norm) from one SVD: the thresholded
-    singular values are the singular values of the result."""
+def svt_with_norm(a, tau, gram=False):
+    """(svt(a, tau), its nuclear norm): the thresholded singular values are
+    the singular values of the result.
+
+    When ||a||_F <= tau every singular value is at most tau, so the result is
+    exactly zero with norm 0.0 and nothing is factored.  With gram=True an a
+    that passes the Gram gate (_gram_factor) is thresholded as
+    V diag(max(sigma - tau, 0) / sigma) V^T t; otherwise, and by default, by
+    one thin SVD."""
+    a = np.asarray(a, dtype=np.float64)
+    norm = scipy.linalg.norm(a.ravel(), check_finite=False)  # BLAS nrm2: scaled, no underflow
+    if norm <= tau and np.isfinite(norm):  # NaN and Inf go on to thin_svd's check
+        return np.zeros_like(a), 0.0
+    factor = _gram_factor(a, _GRAM_FLOOR) if gram else None
+    if factor is not None:
+        v, b, s, transposed = factor
+        kept = soft_threshold(s, tau)
+        b *= (kept / s)[:, None]
+        return (b.T @ v.T if transposed else v @ b), float(kept.sum())  # C-ordered, as a is
     u, s, vt = thin_svd(a)
     s = soft_threshold(s, tau)
     return (u * s) @ vt, float(s.sum())
@@ -80,34 +96,48 @@ def nuclear_subgradient(a, rank_tol=1e-10):
     return subgradient_with_norm(a, rank_tol)[0]
 
 
-def subgradient_with_norm(a, rank_tol=1e-10):
-    """(nuclear_subgradient(a, rank_tol), ||a||_*) from one factorization.
+def _gram_factor(a, floor):
+    """Factor a through the Gram matrix G = t t^T of its smaller side t (a,
+    or a^T when a is tall): (V, B, sigma, transposed) with V the eigenvectors
+    of G, B = V^T t and sigma the row norms of B, a's singular values.
 
-    If every singular value exceeds max(_GRAM_FLOOR, rank_tol) * ||a||_F, as a
-    Cholesky factorization of the smaller-side Gram matrix G minus that bound
-    squared tells, a is factored by G's eigenvectors V: B = V^T a, sigma = the
-    row norms of B, subgradient V diag(1/sigma) B.  Otherwise one thin SVD:
-    squaring into G loses singular values far below the largest.
-    """
+    None unless every singular value exceeds floor * ||a||_F, as a Cholesky
+    factorization of G minus that bound squared tells: squaring into G loses
+    singular values far below the largest."""
+    transposed = a.shape[0] > a.shape[1]
+    t = a.T if transposed else a
+    with np.errstate(invalid="ignore", over="ignore"):  # a G that is not finite fails below
+        g = t @ t.T
+        diag = g.ravel()[:: g.shape[0] + 1]  # a writable view of G's diagonal
+        saved = diag.copy()
+        shift = floor**2 * saved.sum()
+    if not 0.0 < shift < np.inf:
+        return None
+    diag -= shift  # G - shift I is positive definite iff its Cholesky succeeds
+    info = scipy.linalg.lapack.dpotrf(g)[1]
+    diag[:] = saved
+    if info != 0:
+        return None
+    v = np.linalg.eigh(g)[1]
+    b = v.T @ t
+    return v, b, np.sqrt(np.einsum("ij,ij->i", b, b)), transposed
+
+
+def subgradient_with_norm(a, rank_tol=1e-10):
+    """(nuclear_subgradient(a, rank_tol), ||a||_*, gram) from one
+    factorization; gram tells whether it was the Gram one.
+
+    An all-zero a gives zeros and 0.0 without one.  An a that passes the
+    Gram gate (_gram_factor) at max(_GRAM_FLOOR, rank_tol) keeps every
+    direction: V diag(1/sigma) B.  Otherwise one thin SVD."""
     a = np.asarray(a, dtype=np.float64)
-    t = a.T if a.shape[0] > a.shape[1] else a  # rows are the smaller side
-    g = t @ t.T
-    diag = g.ravel()[:: g.shape[0] + 1]  # a writable view of G's diagonal
-    saved = diag.copy()
-    shift = max(_GRAM_FLOOR, rank_tol) ** 2 * saved.sum()
-    if 0.0 < shift < np.inf:  # G - shift I is positive definite iff its Cholesky succeeds
-        diag -= shift
-        info = scipy.linalg.lapack.dpotrf(g)[1]
-        diag[:] = saved
-        if info == 0:
-            v = np.linalg.eigh(g)[1]
-            b = v.T @ t
-            s = np.sqrt(np.einsum("ij,ij->i", b, b))
-            b /= s[:, None]
-            return (v @ b if t is a else b.T @ v.T), float(s.sum())  # C-ordered, as a is
-    del g
+    if not a.any():
+        return np.zeros_like(a), 0.0, False
+    factor = _gram_factor(a, max(_GRAM_FLOOR, rank_tol))
+    if factor is not None:
+        v, b, s, transposed = factor
+        b /= s[:, None]
+        return (b.T @ v.T if transposed else v @ b), float(s.sum()), True  # C-ordered, as a is
     u, s, vt = thin_svd(a)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros_like(a), 0.0
     keep = s > rank_tol * s[0]
-    return u[:, keep] @ vt[keep, :], float(s.sum())
+    return u[:, keep] @ vt[keep, :], float(s.sum()), False

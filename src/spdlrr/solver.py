@@ -12,6 +12,7 @@ The global term is split off through an auxiliary variable J = L and
 linearized at the previous iterate, so every subproblem has a closed form.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,9 @@ class DlrrParams:
 
     lam weighs the sparse-variation term, beta the global discriminability
     term (beta = 0 reduces to independent per-block robust PCA).  mu starts
-    at mu0 and grows by rho each iteration up to mu_max; iteration stops when
-    both residual max norms fall below eps.
+    at mu0 and grows by rho each iteration up to mu_max (which may be inf);
+    iteration stops when both residual max norms fall below eps.  NaN and
+    Inf are rejected everywhere else.
     """
 
     lam: float = 0.01
@@ -40,6 +42,9 @@ class DlrrParams:
     max_iter: int = 500
 
     def __post_init__(self):
+        for name in ("lam", "beta", "rho", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.beta < 0:
@@ -92,10 +97,10 @@ class SolverState:
     factorizations gave about L and J.
 
     L_norm is (L, sum_i ||L_i||_*) as update_L_blocks left it; J_factor is
-    (J, nuclear subgradient at J, ||J||_*).  Each holds the array it was
-    computed from and is used only while that array is still state.L or
-    state.J, so a caller that replaces either gets fresh factorizations (one
-    that writes into them in place does not).
+    (J, nuclear subgradient at J, ||J||_*, whether J took the Gram path;
+    update_L_blocks reads the last to pick the block SVT path).  Each holds the array it was computed from and is used only while that
+    array is still state.L or state.J, so a caller that replaces either gets
+    fresh factorizations (one that writes into them in place does not).
     """
 
     L: np.ndarray
@@ -145,13 +150,21 @@ def update_L_blocks(state, x, partition):
     """Closed-form block update: each block's restored part is the singular
     value thresholding of its columns of W (block_target) at level 1/(2 mu).
     W is formed once and blocks touch disjoint columns, so update order is
-    irrelevant.  The thresholded singular values give sum_i ||L_i||_*."""
+    irrelevant.  The thresholded singular values give sum_i ||L_i||_*.
+
+    A block with ||W_i||_F <= 1/(2 mu) is exactly zero without a
+    factorization.  The others take the Gram SVT where they pass its gate,
+    but only while the current J took the Gram path (J_factor): a J that
+    is rank-deficient has singular values straddling the subgradient's
+    rank cut, which turns rounding-level changes in L into O(1) ones, so
+    until J is well conditioned the blocks keep the exact SVD."""
     w = block_target(state, x)
     tau = 1.0 / (2.0 * state.mu)
+    gram = state.J_factor is not None and state.J_factor[0] is state.J and state.J_factor[3]
     total = 0.0
     for k, cols in enumerate(partition.block_columns):
         try:
-            block, norm = svt_with_norm(w[:, cols], tau)
+            block, norm = svt_with_norm(w[:, cols], tau, gram=gram)
         except SvdFailure as exc:
             raise SvdFailure(f"block {k}: {exc}") from exc
         state.L[:, cols] = block
@@ -167,9 +180,10 @@ def update_E(state, x, lam):
 
 
 def factor_J(state):
-    """(nuclear subgradient at state.J, ||state.J||_*), from one Gram or SVD
-    factorization per J array (subgradient_with_norm): update_J factors the
-    J it forms, and lagrangian_value and the next update_J read it."""
+    """(nuclear subgradient at state.J, ||state.J||_*, gram), from one
+    factorization per J array (subgradient_with_norm: none for J = 0, else
+    Gram or SVD): update_J factors the J it forms, and lagrangian_value, the
+    next update_L_blocks and the next update_J read it."""
     if state.J_factor is None or state.J_factor[0] is not state.J:
         state.J_factor = (state.J, *subgradient_with_norm(state.J))
     return state.J_factor[1:]
@@ -230,9 +244,10 @@ def solve(x, partition, params, callback=None):
     and the multiplier step read the same arrays, and the max norms are the
     convergence test (both <= eps).  Returns (L, E, trace, converged); when
     max_iter is exhausted the last iterate is returned with converged=False.
-    `callback(state)` fires after each iteration.  An iteration takes one SVD
-    per block, plus one factorization of J (in update_J) when beta > 0; the
-    objective reuses them.
+    `callback(state)` fires after each iteration.  An iteration takes at most
+    one factorization per block (none for a block thresholded to zero; Gram
+    or SVD, see update_L_blocks), plus at most one of J (in update_J) when
+    beta > 0; the objective reuses them.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():

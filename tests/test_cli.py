@@ -155,6 +155,19 @@ class TestExitCodes:
         assert "iteration 1: residuals" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--rho", "--eps", "--lambda", "--beta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_solver_flag_is_exit_two(self, demo_dir, capsys, monkeypatch, flag, value):
+        def no_work(*args):
+            raise AssertionError("loaded a file")
+
+        monkeypatch.setattr(spio, "load_cube", no_work)
+        out = demo_dir / "out"
+        rc = cli_main(classify_args(demo_dir, "out", extra=[flag, value]))
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
 

@@ -1,8 +1,10 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spdlrr import DegenerateInput, FormatError, HsiCube, LabelField, NonFiniteData
 from spdlrr import io as spio
@@ -260,3 +262,134 @@ class TestConfig:
         assert values["delta"] == 0.7
         assert values["m_split"] == 5
         assert values["percent"] == 0.05
+
+
+VALID_RASTER = b"2 3\n1 0 2\n3 4 5\n"
+VALID_CONFIG = b"# run\nlambda = 0.5\nseed = 3  # trailing\n\nclassifier = knn\n"
+VALID_MANIFEST = {"height": 2, "width": 3, "bands": 4, "dtype": "f32le", "layout": "bsq",
+                  "data_path": "cube.raw"}
+ENCODINGS = ["utf-16", "utf-16-be", "utf-32", "cp1252"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def spliced(valid):
+    """valid with one span replaced by random bytes: corrupted, cut short or
+    grown, anywhere."""
+    return st.tuples(st.integers(0, len(valid)), st.integers(0, 8), st.binary(max_size=8)).map(
+        lambda t: valid[: t[0]] + t[2] + valid[t[0] + t[1] :]
+    )
+
+
+def malformed(valid, alphabet):
+    return st.one_of(
+        st.binary(max_size=200),
+        spliced(valid),
+        st.text(alphabet=alphabet, max_size=120).map(str.encode),
+        st.sampled_from(ENCODINGS).map(lambda enc: valid.decode().encode(enc)),
+    )
+
+
+def load_or_exit_two(loader, data, name, argv, errors=(FormatError,)):
+    """Write data to name in a fresh directory and load it.  Returns what
+    the loader gave, or None after checking that an error from it (only
+    FormatError by default) is also the CLI's exit 2, with nothing written."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, name)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        if name.endswith(".json"):
+            np.zeros(24, "<f4").tofile(os.path.join(work, "cube.raw"))
+        try:
+            return loader(path)
+        except errors:
+            before = sorted(os.listdir(work))
+            assert cli_main([a.format(path=path, work=work) for a in argv]) == 2
+            assert sorted(os.listdir(work)) == before
+            return None
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le"])  # 0xFF 0xFE first
+    def test_utf16_files_are_format_errors(self, tmp_path, encoding):
+        files = {
+            "truth.txt": (spio.load_raster, VALID_RASTER.decode()),
+            "run.cfg": (spio.load_config, VALID_CONFIG.decode()),
+            "cube.json": (spio.load_cube, json.dumps(VALID_MANIFEST)),
+        }
+        for name, (loader, text) in files.items():
+            data = text.encode(encoding)
+            if encoding == "utf-16-le":
+                data = b"\xff\xfe" + data
+            assert data.startswith(b"\xff\xfe")
+            (tmp_path / name).write_bytes(data)
+            with pytest.raises(FormatError, match="not UTF-8 text"):
+                loader(str(tmp_path / name))
+
+    @pytest.mark.parametrize("value", ["9223372036854775808", "-99999999999999999999"])
+    def test_raster_value_beyond_int64(self, tmp_path, value):
+        path = tmp_path / "r.txt"
+        path.write_text(f"1 2\n0 {value}\n")
+        with pytest.raises(FormatError, match="64-bit"):
+            spio.load_raster(str(path))
+
+    def test_nul_in_data_path(self, tmp_path):
+        (tmp_path / "cube.json").write_text(json.dumps({**VALID_MANIFEST, "data_path": "a\0b"}))
+        with pytest.raises(FormatError, match="data_path"):
+            spio.load_cube(str(tmp_path / "cube.json"))
+
+    @given(malformed(VALID_RASTER, "0123456789 -+_\n\r\t"))
+    @settings(max_examples=300, deadline=None)
+    def test_raster(self, data):
+        grid = load_or_exit_two(spio.load_raster, data, "r.txt", ["metrics", "{path}", "{path}"])
+        if grid is not None:
+            assert grid.dtype == np.int64 and grid.ndim == 2 and grid.size and (grid >= 0).all()
+
+    @given(malformed(VALID_CONFIG, "abdelmnoprstx_ =#.0159\n\r"))
+    @settings(max_examples=300, deadline=None)
+    def test_config(self, data):
+        argv = ["segment", "--config", "{path}", "--cube", "{work}/none.json", "--out", "{work}/p.txt"]
+        values = load_or_exit_two(spio.load_config, data, "run.cfg", argv)
+        if values is not None:
+            assert set(values) <= set(spio.CONFIG_KEYS)
+            assert all(type(v) is spio.CONFIG_KEYS[k] for k, v in values.items())
+
+    @given(
+        st.one_of(
+            malformed(json.dumps(VALID_MANIFEST).encode(), '{}[]":,0123456789 abtrue'),
+            st.tuples(st.sampled_from(sorted(VALID_MANIFEST)), json_values).map(
+                lambda kv: {**VALID_MANIFEST, kv[0]: kv[1]}
+            ),
+            st.sampled_from(sorted(VALID_MANIFEST)).map(
+                lambda k: {key: v for key, v in VALID_MANIFEST.items() if key != k}
+            ),
+            st.text(max_size=6).map(lambda t: {**VALID_MANIFEST, "data_path": t + "\0"}),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_manifest(self, manifest):
+        if isinstance(manifest, dict):
+            if isinstance(manifest.get("data_path"), str) and "\0" not in manifest["data_path"]:
+                manifest = {**manifest, "data_path": "cube.raw"}  # a missing file is an OSError
+            manifest = json.dumps(manifest).encode()
+        argv = ["segment", "--cube", "{path}", "--out", "{work}/p.txt"]
+        # A splice can rename the payload: a well-formed manifest naming a
+        # file that is not there is an OSError, and exit 2 as well.
+        errors = (FormatError, FileNotFoundError)
+        cube = load_or_exit_two(spio.load_cube, manifest, "cube.json", argv, errors)
+        if cube is not None:
+            assert (cube.height, cube.width, cube.bands) == (2, 3, 4)
+
+    @given(st.integers(0, 200).filter(lambda n: n != 96))
+    @settings(max_examples=50, deadline=None)
+    def test_payload_size(self, size):
+        with tempfile.TemporaryDirectory() as work:
+            with open(os.path.join(work, "cube.json"), "w") as fh:
+                json.dump(VALID_MANIFEST, fh)
+            with open(os.path.join(work, "cube.raw"), "wb") as fh:
+                fh.write(bytes(size))
+            with pytest.raises(FormatError, match="raw size"):
+                spio.load_cube(os.path.join(work, "cube.json"))

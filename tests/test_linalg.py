@@ -170,13 +170,13 @@ class TestNuclearSubgradient:
     @settings(max_examples=40, deadline=None)
     def test_with_norm_matches_separate_calls(self, seed):
         a = random_matrix(seed)
-        g, norm = subgradient_with_norm(a)
+        g, norm, _ = subgradient_with_norm(a)
         assert np.array_equal(g, nuclear_subgradient(a))
         assert norm == pytest.approx(nuclear_norm(a), rel=1e-12)
 
     def test_with_norm_of_zero_matrix(self):
-        g, norm = subgradient_with_norm(np.zeros((3, 5)))
-        assert norm == 0.0 and not g.any()
+        g, norm, gram = subgradient_with_norm(np.zeros((3, 5)))
+        assert norm == 0.0 and not g.any() and not gram
 
 
 class TestThinSvd:
@@ -222,9 +222,11 @@ def floor_sigma(k, factor):
 
 
 def counted_subgradient(a, rank_tol=1e-10):
-    """(subgradient, norm, number of thin_svd calls it took)."""
+    """(subgradient, norm, number of thin_svd calls it took); the Gram bit
+    it returns must say whether a nonzero a was factored without an SVD."""
     with mock.patch.object(linalg, "thin_svd", wraps=linalg.thin_svd) as svd:
-        g, norm = subgradient_with_norm(a, rank_tol)
+        g, norm, gram = subgradient_with_norm(a, rank_tol)
+    assert gram == (a.any() and svd.call_count == 0)
     return g, norm, svd.call_count
 
 
@@ -276,7 +278,7 @@ class TestGramSubgradient:
         a = a.T.copy() if tall else a
         g, norm, svd_calls = counted_subgradient(a, rank_tol)
         g_ref, norm_ref = svd_subgradient(a, rank_tol)
-        assert svd_calls == 1
+        assert svd_calls == (0 if case == "zero" else 1)  # zero: answered without one
         assert np.array_equal(g, g_ref) and norm == norm_ref
 
     def test_just_above_floor_takes_gram_path(self):
@@ -308,8 +310,8 @@ class TestGramSubgradient:
         b = v.T @ t
         s = np.sqrt(np.einsum("ij,ij->i", b, b))
         b /= s[:, None]
-        g, norm = subgradient_with_norm(a)
-        assert np.array_equal(g, v @ b if t is a else b.T @ v.T)
+        g, norm, gram = subgradient_with_norm(a)
+        assert gram and np.array_equal(g, v @ b if t is a else b.T @ v.T)
         assert norm == float(s.sum())
 
     def test_rank_tol_above_floor_sets_the_gate(self):
@@ -338,6 +340,137 @@ class TestGramSubgradient:
         assert np.array_equal(a, before)
 
 
+def svd_svt(a, tau):
+    """svt_with_norm by one thin SVD, as it was before the zero and Gram
+    paths: the reference for all three."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    s = np.maximum(s - tau, 0.0)
+    return (u * s) @ vt, float(s.sum())
+
+
+def counted(fn, *args, **kwargs):
+    """(fn's result, thin_svd calls, Gram factorizations tried) in one call."""
+    with mock.patch.object(linalg, "thin_svd", wraps=linalg.thin_svd) as svd, \
+            mock.patch.object(linalg, "_gram_factor", wraps=linalg._gram_factor) as gram:
+        out = fn(*args, **kwargs)
+    return out, svd.call_count, gram.call_count
+
+
+class TestZeroShortcut:
+    @pytest.mark.parametrize("gram", [False, True])
+    @pytest.mark.parametrize("tall", [False, True])
+    @pytest.mark.parametrize(
+        "case", ["rank-one-sigma-at-tau", "norm-exactly-tau", "norm-just-above-tau"]
+    )
+    def test_edges(self, case, tall, gram):
+        # Entries 3 and 4 make ||a||_F exactly 5 in floating point.
+        a = np.zeros((2, 3))
+        if case == "rank-one-sigma-at-tau":
+            a[:, 0] = [3.0, 4.0]  # sigma = ||a||_F = tau
+        else:
+            a[0, 0], a[1, 1] = 3.0, 4.0  # sigma = 4, 3: below tau
+        tau = np.nextafter(5.0, 0.0) if case == "norm-just-above-tau" else 5.0
+        a = a.T.copy() if tall else a
+        (z, norm), svd_calls, gram_calls = counted(svt_with_norm, a, tau, gram=gram)
+        z_ref, norm_ref = svd_svt(a, tau)
+        assert z.shape == a.shape and (z == 0).all() and norm == 0.0
+        assert np.max(np.abs(z - z_ref)) <= 1e-15 * tau and abs(norm - norm_ref) <= 1e-15 * tau
+        if case == "norm-just-above-tau":
+            # sigma_max is still below tau: zero again, but found by factoring.
+            assert np.array_equal(z, z_ref) and norm == norm_ref
+            assert (svd_calls, gram_calls) == ((0, 1) if gram else (1, 0))
+        else:
+            assert (svd_calls, gram_calls) == (0, 0)
+
+    @given(st.integers(0, 10_000), st.floats(min_value=0.0, max_value=3.0), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_tau_above_frobenius_norm(self, seed, excess, gram):
+        a = random_matrix(seed)
+        tau = np.linalg.norm(a) * (1.0 + 1e-9 + excess)
+        (z, norm), svd_calls, gram_calls = counted(svt_with_norm, a, tau, gram=gram)
+        z_ref, norm_ref = svd_svt(a, tau)
+        assert (svd_calls, gram_calls) == (0, 0)
+        assert z.shape == a.shape and (z == 0).all() and norm == 0.0
+        assert np.array_equal(z, z_ref) and norm == norm_ref
+
+    def test_tiny_entries_are_not_lost(self):
+        # Squaring 1e-170 underflows; a scaled norm keeps ||a||_F > tau.
+        a = np.diag([2e-170, 1e-170])
+        z, norm = svt_with_norm(a, 1e-170)
+        assert z[0, 0] == pytest.approx(1e-170) and norm == pytest.approx(1e-170)
+
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6), (0, 4)])
+    def test_all_zero_j_takes_no_factorization(self, shape):
+        a = np.zeros(shape)
+        (g, norm, gram), svd_calls, gram_calls = counted(subgradient_with_norm, a)
+        g_ref, norm_ref = svd_subgradient(a) if a.size else (np.zeros(shape), 0.0)
+        assert (svd_calls, gram_calls) == (0, 0)
+        assert not gram and norm == 0.0 == norm_ref
+        assert g.shape == shape and np.array_equal(g, g_ref)
+
+
+class TestGramSvt:
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 40),
+        st.integers(0, 40),
+        st.booleans(),
+        st.floats(min_value=np.log10(linalg._GRAM_FLOOR), max_value=0.0),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_svd_reference(self, seed, small, extra, tall, log_ratio, log_scale, level):
+        shape = (small + extra, small) if tall else (small, small + extra)
+        sigma = 10.0**log_scale * np.logspace(0.0, log_ratio, small)
+        a = planted(seed, shape, sigma)
+        tau = level * sigma[0]  # below sigma_max, so below ||a||_F: no zero shortcut
+        (z, norm), svd_calls, _ = counted(svt_with_norm, a, tau, gram=True)
+        z_ref, norm_ref = svd_svt(a, tau)
+        assert z.shape == a.shape and z.flags.c_contiguous
+        assert np.max(np.abs(z - z_ref)) <= 1e-10
+        assert abs(norm - norm_ref) <= 1e-12 * sigma.sum()
+        s = np.linalg.svd(a, compute_uv=False)
+        share = s[-1] / (linalg._GRAM_FLOOR * np.linalg.norm(a))
+        if share > 1.01:
+            assert svd_calls == 0
+        elif share < 0.99:
+            assert svd_calls == 1 and np.array_equal(z, z_ref) and norm == norm_ref
+
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
+    @pytest.mark.parametrize(
+        "case", ["default", "gram-false", "below-floor", "rank-deficient"]
+    )
+    def test_svd_path_is_bitwise_the_reference(self, case, shape):
+        k = min(shape)
+        if case == "below-floor":
+            a = planted(2, shape, floor_sigma(k, 0.99))
+        elif case == "rank-deficient":
+            a = planted(1, shape, [3.0, 1.0])
+        else:
+            a = planted(3, shape, np.linspace(1.0, 0.5, k))  # passes the gate
+        kwargs = {} if case == "default" else {"gram": case != "gram-false"}
+        (z, norm), svd_calls, gram_calls = counted(svt_with_norm, a, 0.2, **kwargs)
+        z_ref, norm_ref = svd_svt(a, 0.2)
+        assert svd_calls == 1 and gram_calls == int(kwargs.get("gram", False))
+        assert np.array_equal(z, z_ref) and norm == norm_ref
+
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
+    def test_just_above_floor_takes_gram_path(self, shape):
+        a = planted(2, shape, floor_sigma(min(shape), 1.01))
+        (z, norm), svd_calls, _ = counted(svt_with_norm, a, 0.5, gram=True)
+        z_ref, norm_ref = svd_svt(a, 0.5)
+        assert svd_calls == 0
+        assert np.max(np.abs(z - z_ref)) <= 1e-10
+        assert norm == pytest.approx(norm_ref, rel=1e-12)
+
+    def test_input_is_not_modified(self):
+        a = np.random.default_rng(6).standard_normal((8, 5))
+        before = a.copy()
+        svt_with_norm(a, 0.3, gram=True)
+        assert np.array_equal(a, before)
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("fn", [thin_svd, subgradient_with_norm, svt_with_norm])
@@ -349,6 +482,43 @@ class TestNonFinite:
             warnings.simplefilter("error")
             with pytest.raises(SvdFailure, match="non-finite"):
                 fn(*args)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tall", [False, True])
+    @pytest.mark.parametrize("gram", [False, True])
+    @pytest.mark.parametrize("tau", [1e-3, 1e300, np.inf])
+    def test_svt_raises_on_every_path(self, tau, gram, tall, value):
+        # A tau at or above ||a||_F would take the zero shortcut for the
+        # finite part; the Gram gate would pass it.
+        a = random_matrix(9, 7, 5) if tall else random_matrix(9, 5, 7)
+        a[1, 2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SvdFailure, match="non-finite"):
+                svt_with_norm(a, tau, gram=gram)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_lone_non_finite_entry_is_not_zero(self, value):
+        a = np.zeros((4, 6))
+        a[3, 5] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (subgradient_with_norm, lambda m: svt_with_norm(m, 1.0, gram=True)):
+                with pytest.raises(SvdFailure, match="non-finite"):
+                    fn(a)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_gram_overflow_falls_back_quietly(self, shape):
+        # G's entries overflow; the gate must hand a to the SVD, not warn.
+        a = np.zeros(shape)
+        a[0, 0], a[1, 1] = 1e200, 1e199
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (z, norm), svd_calls, _ = counted(svt_with_norm, a, 1e198, gram=True)
+            g, g_norm, gram = subgradient_with_norm(a)
+        z_ref, norm_ref = svd_svt(a, 1e198)
+        assert svd_calls == 1 and np.array_equal(z, z_ref) and norm == norm_ref
+        assert not gram and np.array_equal(g, svd_subgradient(a)[0])
 
     def test_finite_extremes_still_factor(self):
         a = np.diag([1e150, 1e-150])

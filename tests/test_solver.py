@@ -14,10 +14,11 @@ from spdlrr import (
     nuclear_subgradient,
     soft_threshold,
     solve,
-    svt,
 )
+from spdlrr.linalg import subgradient_with_norm, svt_with_norm
 from spdlrr.solver import (
     block_target,
+    factor_J,
     lagrangian_value,
     update_E,
     update_J,
@@ -55,17 +56,20 @@ def reference_three_term_ialm(x, lam, mu0, rho, mu_max, n_iter):
 
 def reference_block_dlrr(x, partition, params, n_iter):
     """The block solver's iteration written out plainly: a per-block svt of
-    the gathered target, the subgradient of J recomputed inside the J
-    update, and the objective from fresh nuclear norms."""
+    the gathered target, by Gram where the last J took the Gram path, the
+    subgradient of J recomputed inside the J update, and the objective from
+    fresh nuclear norms."""
     L, E, J, Y1, Y2 = (np.zeros_like(x) for _ in range(5))
     mu = params.mu0
     objectives = []
+    gram = False
     for _ in range(n_iter):
         for cols in partition.block_columns:
             w = 0.5 * ((x[:, cols] - E[:, cols] + Y1[:, cols] / mu) + (J[:, cols] + Y2[:, cols] / mu))
-            L[:, cols] = svt(w, 1.0 / (2.0 * mu))
+            L[:, cols] = svt_with_norm(w, 1.0 / (2.0 * mu), gram=gram)[0]
         E = soft_threshold(x - L + Y1 / mu, params.lam / mu)
         J = (params.beta / mu) * nuclear_subgradient(J) - Y2 / mu + L
+        gram = subgradient_with_norm(J)[2]
         r1, r2 = x - L - E, J - L
         obj = sum(nuclear_norm(L[:, cols]) for cols in partition.block_columns)
         obj += params.lam * np.abs(E).sum() - params.beta * nuclear_norm(J)
@@ -75,6 +79,50 @@ def reference_block_dlrr(x, partition, params, n_iter):
         Y2 = Y2 + mu * (J - L)
         mu = min(params.mu_max, params.rho * mu)
     return L, E, objectives
+
+
+def reference_all_svd(x, partition, params, n_iter):
+    """The block iteration with every factorization one thin SVD, from numpy
+    alone: block SVTs at 1/(2 mu), and the J subgradient keeping singular
+    values above 1e-10 sigma_max.  Returns the (L, E) iterates."""
+    L, E, J, Y1, Y2 = (np.zeros_like(x) for _ in range(5))
+    mu = params.mu0
+    iterates = []
+    for _ in range(n_iter):
+        for cols in partition.block_columns:
+            w = 0.5 * ((x[:, cols] - E[:, cols] + Y1[:, cols] / mu) + (J[:, cols] + Y2[:, cols] / mu))
+            u, s, vt = np.linalg.svd(w, full_matrices=False)
+            L[:, cols] = (u * np.maximum(s - 1.0 / (2.0 * mu), 0.0)) @ vt
+        d = x - L + Y1 / mu
+        E = np.sign(d) * np.maximum(np.abs(d) - params.lam / mu, 0.0)
+        u, s, vt = np.linalg.svd(J, full_matrices=False)
+        keep = s > 1e-10 * s[0]
+        J = (params.beta / mu) * (u[:, keep] @ vt[keep, :]) - Y2 / mu + L
+        Y1 = Y1 + mu * (x - L - E)
+        Y2 = Y2 + mu * (J - L)
+        mu = min(params.mu_max, params.rho * mu)
+        iterates.append((L.copy(), E.copy()))
+    return iterates
+
+
+def solve_recording_gram(x, partition, params, monkeypatch):
+    """solve, plus the gram= flag of every block SVT and the (L, E)
+    iterate, per iteration."""
+    flags, per_iteration, iterates = [], [], []
+    real = spdlrr.solver.svt_with_norm
+
+    def recorded(a, tau, gram=False):
+        flags.append(gram)
+        return real(a, tau, gram=gram)
+
+    def record(state):
+        per_iteration.append(flags[:])
+        flags.clear()
+        iterates.append((state.L.copy(), state.E.copy()))
+
+    monkeypatch.setattr(spdlrr.solver, "svt_with_norm", recorded)
+    solve(x, partition, params, callback=record)
+    return per_iteration, iterates
 
 
 def fresh_state(shape, mu=1.0, seed=None):
@@ -109,6 +157,19 @@ class TestParams:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             DlrrParams(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["lam", "beta", "mu0", "rho", "eps"])
+    def test_rejects_non_finite(self, name, value):
+        # NaN passes every <= check: rho = nan jumped mu to mu_max, and
+        # eps = nan never converged.
+        with pytest.raises(ValueError, match=name):
+            DlrrParams(**{"lam": 0.1, name: value})
+
+    def test_mu_max_may_be_inf_but_not_nan(self):
+        assert DlrrParams(mu_max=np.inf).mu_max == np.inf
+        with pytest.raises(ValueError, match="mu_max"):
+            DlrrParams(mu_max=np.nan)
 
 
 class TestBlockPartition:
@@ -159,6 +220,26 @@ class TestUpdateLBlocks:
             expected[:, cols] = (u * np.maximum(s - 1 / (2 * state.mu), 0)) @ vt
         update_L_blocks(state, x, part)
         np.testing.assert_allclose(state.L, expected, atol=1e-12)
+
+
+    def test_gram_flag_follows_the_current_j(self, four_block_instance, monkeypatch):
+        x, part, _ = four_block_instance
+        state = fresh_state(x.shape, seed=4)
+        flags = []
+        real = spdlrr.solver.svt_with_norm
+
+        def recorded(a, tau, gram=False):
+            flags.append(gram)
+            return real(a, tau, gram=gram)
+
+        monkeypatch.setattr(spdlrr.solver, "svt_with_norm", recorded)
+        update_L_blocks(state, x, part)  # J not factored yet
+        factor_J(state)
+        assert state.J_factor[3]  # a random 20x40 J passes the Gram gate
+        update_L_blocks(state, x, part)
+        state.J = state.J.copy()  # a replaced J: its factor no longer applies
+        update_L_blocks(state, x, part)
+        assert flags == [False] * 4 + [True] * 4 + [False] * 4
 
 
 class TestUpdateE:
@@ -354,6 +435,36 @@ class TestSolve:
         assert np.array_equal(L, L_ref) and np.array_equal(E, E_ref)
         for got, want in zip(trace.objective, objectives):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_within_1e_10_of_all_svd_iteration(self, four_block_instance, monkeypatch):
+        # From the cold start: zero shortcuts first, then the Gram SVT once J
+        # is well conditioned.
+        x, part, lam = four_block_instance
+        n = 150
+        params = DlrrParams(lam=lam, beta=1.0, max_iter=n, eps=1e-30)
+        flags, iterates = solve_recording_gram(x, part, params, monkeypatch)
+        reference = reference_all_svd(x, part, params, n)
+        assert len(iterates) == n and sum(any(f) for f in flags) >= n // 3
+        worst = max(
+            max(np.max(np.abs(l_got - l_ref)), np.max(np.abs(e_got - e_ref)))
+            for (l_got, e_got), (l_ref, e_ref) in zip(iterates, reference)
+        )
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("mu0", [1e-4, 0.1])
+    def test_gram_svt_only_after_j_took_the_gram_path(self, four_block_instance, monkeypatch, beta, mu0):
+        # Never on a solve's first iteration (J = 0 has no Gram factor) and
+        # never at beta = 0 (J is not factored), so criterion 2 stays exact.
+        x, part, lam = four_block_instance
+        params = DlrrParams(lam=lam, beta=beta, mu0=mu0, max_iter=100, eps=1e-30)
+        flags, _ = solve_recording_gram(x, part, params, monkeypatch)
+        assert len(flags) == 100 and all(len(f) == part.n_blocks for f in flags)
+        assert not any(flags[0])
+        if beta == 0.0:
+            assert not any(any(f) for f in flags)
+        else:
+            assert any(any(f) for f in flags)
 
     def test_one_svd_per_block_and_j_per_iteration(self, four_block_instance, monkeypatch):
         x, part, lam = four_block_instance
