@@ -120,14 +120,25 @@ def _knn(train_x, train_y, all_x, k):
     return pred
 
 
+# The built-in classifiers by name, as (train_x, train_y, all_x, k) -> labels.
+CLASSIFIERS = {"nearest-centroid": lambda x, y, a, k: _nearest_centroid(x, y, a), "knn": _knn}
+
+
+def check_classifier(kind):
+    """Raise ValueError unless kind is a callable or a CLASSIFIERS name."""
+    if not callable(kind) and kind not in CLASSIFIERS:
+        raise ValueError(f"unknown classifier kind {kind!r}")
+
+
 def train_predict(features, tsplit, labels, kind="nearest-centroid", k=DEFAULT_KNN_K):
     """Train on the split's training pixels and predict a class for every
     pixel.
 
     `features` is the bands x pixels matrix; `kind` names a built-in
-    ("nearest-centroid" or "knn") or is a callable
+    (CLASSIFIERS: "nearest-centroid" or "knn") or is a callable
     (train_x, train_y, all_x) -> labels operating on pixels-as-rows.
     """
+    check_classifier(kind)
     all_x = np.asarray(features, dtype=np.float64).T
     flat = labels.labels.ravel()
     train_idx = np.flatnonzero(tsplit.train_mask.ravel())
@@ -140,12 +151,8 @@ def train_predict(features, tsplit, labels, kind="nearest-centroid", k=DEFAULT_K
     train_x = all_x[train_idx]
     if callable(kind):
         pred = np.asarray(kind(train_x, train_y, all_x), dtype=np.int64)
-    elif kind == "nearest-centroid":
-        pred = _nearest_centroid(train_x, train_y, all_x)
-    elif kind == "knn":
-        pred = _knn(train_x, train_y, all_x, k)
     else:
-        raise ValueError(f"unknown classifier kind {kind!r}")
+        pred = CLASSIFIERS[kind](train_x, train_y, all_x, k)
     return LabelField(pred.reshape(labels.shape))
 
 

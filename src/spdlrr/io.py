@@ -92,9 +92,12 @@ def load_cube(manifest_path):
         raise FormatError(f"{manifest_path}: non-integer dimensions")
     if h < 1 or w < 1 or b < 1:
         raise FormatError(f"{manifest_path}: dimensions must be positive")
-    if not isinstance(manifest["data_path"], str) or "\0" in manifest["data_path"]:
-        raise FormatError(f"{manifest_path}: data_path must be a string without NUL")
-    data_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), manifest["data_path"])
+    name = manifest["data_path"]
+    if not (isinstance(name, str) and "\0" not in name and os.path.basename(name) == name):
+        raise FormatError(f"{manifest_path}: data_path must be a string: a bare file name")
+    data_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), name)
+    if not os.path.isfile(data_path):
+        raise FormatError(f"{data_path}: no such payload file")
     expected = h * w * b * 4
     actual = os.path.getsize(data_path)
     if actual != expected:

@@ -16,6 +16,7 @@ from .classify import (
     LabelField,
     MetricsReport,
     TrainSplit,
+    check_classifier,
     evaluate,
     split,
     train_predict,
@@ -46,6 +47,7 @@ class PipelineConfig:
             raise ValueError("m_split must be at least 1")
         if self.knn_k < 1:
             raise ValueError("knn_k must be at least 1")
+        check_classifier(self.classifier)
 
 
 @dataclass

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverDiverged, SvdFailure
-from .linalg import max_norm, nuclear_norm, soft_threshold, subgradient_with_norm, svt_with_norm
-from .linalg import nuclear_subgradient, svt  # noqa: F401  (bench/tracing.py wraps these names here)
+from .linalg import max_norm, soft_threshold, subgradient_with_norm, svt_with_norm
+from .linalg import nuclear_norm, nuclear_subgradient, svt  # noqa: F401  (for bench/tracing.py)
 
 
 @dataclass
@@ -96,11 +96,11 @@ class SolverState:
     """All iterates of the solver, shaped like X, plus what the last
     factorizations gave about L and J.
 
-    L_norm is (L, sum_i ||L_i||_*) as update_L_blocks left it; J_factor is
-    (J, nuclear subgradient at J, ||J||_*, whether J took the Gram path;
-    update_L_blocks reads the last to pick the block SVT path).  Each holds the array it was computed from and is used only while that
-    array is still state.L or state.J, so a caller that replaces either gets
-    fresh factorizations (one that writes into them in place does not).
+    L_norm is sum_i ||L_i||_*, written by update_L_blocks.  J_sub, J_norm
+    and J_gram are the nuclear subgradient at J, ||J||_* and whether J took
+    the Gram path, written by update_J when beta > 0; they start at their
+    values for J = 0 (J_sub as the scalar 0.0).  Nothing else writes them,
+    so a caller that replaces L or J keeps the old values.
     """
 
     L: np.ndarray
@@ -110,8 +110,10 @@ class SolverState:
     Y2: np.ndarray
     mu: float
     iteration: int = 0
-    L_norm: tuple = None
-    J_factor: tuple = None
+    L_norm: float = 0.0
+    J_sub: object = 0.0
+    J_norm: float = 0.0
+    J_gram: bool = False
 
     @classmethod
     def zeros(cls, shape, mu):
@@ -150,26 +152,25 @@ def update_L_blocks(state, x, partition):
     """Closed-form block update: each block's restored part is the singular
     value thresholding of its columns of W (block_target) at level 1/(2 mu).
     W is formed once and blocks touch disjoint columns, so update order is
-    irrelevant.  The thresholded singular values give sum_i ||L_i||_*.
+    irrelevant.  The thresholded singular values sum to state.L_norm.
 
     A block with ||W_i||_F <= 1/(2 mu) is exactly zero without a
     factorization.  The others take the Gram SVT where they pass its gate,
-    but only while the current J took the Gram path (J_factor): a J that
-    is rank-deficient has singular values straddling the subgradient's
-    rank cut, which turns rounding-level changes in L into O(1) ones, so
-    until J is well conditioned the blocks keep the exact SVD."""
+    but only while J took the Gram path (state.J_gram): a J that is
+    rank-deficient has singular values straddling the subgradient's rank
+    cut, which turns rounding-level changes in L into O(1) ones, so until J
+    is well conditioned the blocks keep the exact SVD."""
     w = block_target(state, x)
     tau = 1.0 / (2.0 * state.mu)
-    gram = state.J_factor is not None and state.J_factor[0] is state.J and state.J_factor[3]
     total = 0.0
     for k, cols in enumerate(partition.block_columns):
         try:
-            block, norm = svt_with_norm(w[:, cols], tau, gram=gram)
+            block, norm = svt_with_norm(w[:, cols], tau, gram=state.J_gram)
         except SvdFailure as exc:
             raise SvdFailure(f"block {k}: {exc}") from exc
         state.L[:, cols] = block
         total += norm
-    state.L_norm = (state.L, total)
+    state.L_norm = total
     return state.L
 
 
@@ -179,27 +180,17 @@ def update_E(state, x, lam):
     return state.E
 
 
-def factor_J(state):
-    """(nuclear subgradient at state.J, ||state.J||_*, gram), from one
-    factorization per J array (subgradient_with_norm: none for J = 0, else
-    Gram or SVD): update_J factors the J it forms, and lagrangian_value, the
-    next update_L_blocks and the next update_J read it."""
-    if state.J_factor is None or state.J_factor[0] is not state.J:
-        state.J_factor = (state.J, *subgradient_with_norm(state.J))
-    return state.J_factor[1:]
-
-
 def update_J(state, beta):
     """Linearized update of the auxiliary variable: the concave global term
     is replaced by its tangent at the previous iteration's J, giving
-    J = (beta/mu) * subgradient(J_prev) - Y2/mu + L.  For beta > 0 the new
-    J is factored here, once the old subgradient is freed."""
+    J = (beta/mu) * J_sub - Y2/mu + L.  For beta > 0 the new J is factored
+    once (subgradient_with_norm) into J_sub, J_norm and J_gram."""
     if beta == 0.0:
         state.J = state.L - state.Y2 / state.mu
     else:
-        state.J = (beta / state.mu) * factor_J(state)[0] - state.Y2 / state.mu + state.L
-        state.J_factor = None  # frees the old subgradient before the new J is factored
-        factor_J(state)
+        state.J = (beta / state.mu) * state.J_sub - state.Y2 / state.mu + state.L
+        state.J_sub = None  # frees the old subgradient before the new J is factored
+        state.J_sub, state.J_norm, state.J_gram = subgradient_with_norm(state.J)
     return state.J
 
 
@@ -211,7 +202,7 @@ def update_multipliers(state, r1, r2, rho, mu_max):
     state.mu = min(mu_max, rho * state.mu)
 
 
-def lagrangian_value(state, r1, r2, partition, params):
+def lagrangian_value(state, r1, r2, params):
     """Augmented Lagrangian of the split model at the current iterate,
     evaluated with the multipliers and penalty weight in effect and the
     constraint residuals r1 = X - L - E and r2 = J - L:
@@ -221,15 +212,10 @@ def lagrangian_value(state, r1, r2, partition, params):
     square instead would only add ||Y||_F^2 / (2 mu), a constant in the
     optimization variables that obscures convergence of the logged value.)
 
-    The nuclear norms come from the L and J updates' factorizations (see
-    SolverState), so they can differ from a fresh SVD in the last digits."""
-    if state.L_norm is not None and state.L_norm[0] is state.L:
-        val = state.L_norm[1]
-    else:
-        val = sum(nuclear_norm(state.L[:, cols]) for cols in partition.block_columns)
-    val += params.lam * float(np.abs(state.E).sum())
-    if params.beta != 0.0:
-        val -= params.beta * factor_J(state)[1]
+    The nuclear norms are state.L_norm and state.J_norm, from the L and J
+    updates' factorizations, so they can differ from a fresh SVD in the
+    last digits."""
+    val = state.L_norm + params.lam * float(np.abs(state.E).sum()) - params.beta * state.J_norm
     val += float(np.sum(state.Y1 * r1)) + float(np.sum(state.Y2 * r2))
     val += 0.5 * state.mu * (float(np.sum(r1 * r1)) + float(np.sum(r2 * r2)))
     return float(val)
@@ -268,7 +254,7 @@ def solve(x, partition, params, callback=None):
         n1, n2 = max_norm(r1), max_norm(r2)
         if not np.isfinite(n1 + n2):
             raise SolverDiverged(f"iteration {state.iteration}: residuals r1={n1}, r2={n2}")
-        trace.append(n1, n2, lagrangian_value(state, r1, r2, partition, params), state.mu)
+        trace.append(n1, n2, lagrangian_value(state, r1, r2, params), state.mu)
         update_multipliers(state, r1, r2, params.rho, params.mu_max)
         del r1, r2  # not held through the next iteration's updates
         if callback is not None:

@@ -112,6 +112,16 @@ class TestExitCodes:
         assert rc == 2
         assert "knn_k" in capsys.readouterr().err
 
+    def test_unknown_classifier_is_exit_two_before_the_run(self, demo_dir, capsys, monkeypatch):
+        segments = []
+        real_segment = spdlrr.pipeline.segment
+        monkeypatch.setattr(spdlrr.pipeline, "segment", lambda *a: segments.append(a) or real_segment(*a))
+        before = sorted(os.listdir(demo_dir))
+        rc = cli_main(classify_args(demo_dir, "out", extra=["--classifier", "foo"]))
+        assert rc == 2
+        assert "unknown classifier kind 'foo'" in capsys.readouterr().err
+        assert segments == [] and sorted(os.listdir(demo_dir)) == before
+
     def test_too_many_classes_fail_before_the_run(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         spio.write_cube(spdlrr.HsiCube(16, 32, rng.random((4, 512))), str(tmp_path / "cube.json"))

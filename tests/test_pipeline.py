@@ -39,6 +39,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="knn_k"):
             PipelineConfig(knn_k=k)
 
+    def test_unknown_classifier_rejected(self):
+        with pytest.raises(ValueError, match="unknown classifier kind 'foo'"):
+            PipelineConfig(classifier="foo")
+
+    @pytest.mark.parametrize("kind", ["nearest-centroid", "knn", lambda tx, ty, ax: ty[:1].repeat(len(ax))])
+    def test_builtin_or_callable_classifier_accepted(self, kind):
+        assert PipelineConfig(classifier=kind).classifier is kind
+
 
 class TestRun:
     def test_degenerate_singleton_superpixels_smoke(self):

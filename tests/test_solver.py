@@ -18,8 +18,6 @@ from spdlrr import (
 from spdlrr.linalg import subgradient_with_norm, svt_with_norm
 from spdlrr.solver import (
     block_target,
-    factor_J,
-    lagrangian_value,
     update_E,
     update_J,
     update_L_blocks,
@@ -234,12 +232,10 @@ class TestUpdateLBlocks:
 
         monkeypatch.setattr(spdlrr.solver, "svt_with_norm", recorded)
         update_L_blocks(state, x, part)  # J not factored yet
-        factor_J(state)
-        assert state.J_factor[3]  # a random 20x40 J passes the Gram gate
+        update_J(state, 1.0)
+        assert state.J_gram  # a random 20x40 J passes the Gram gate
         update_L_blocks(state, x, part)
-        state.J = state.J.copy()  # a replaced J: its factor no longer applies
-        update_L_blocks(state, x, part)
-        assert flags == [False] * 4 + [True] * 4 + [False] * 4
+        assert flags == [False] * 4 + [True] * 4
 
 
 class TestUpdateE:
@@ -288,6 +284,7 @@ class TestUpdateJ:
     def test_diagonal_previous_j(self):
         state = fresh_state((2, 2), mu=1.0)
         state.J = np.diag([2.0, 3.0])
+        state.J_sub = nuclear_subgradient(state.J)
         update_J(state, beta=1.0)
         np.testing.assert_allclose(state.J, np.eye(2), atol=1e-12)
 
@@ -488,30 +485,29 @@ class TestSolve:
         assert calls["thin_svd"] <= n * (part.n_blocks + 1) + 1
         assert calls["singular_values"] == 0
 
-    def test_replaced_j_gets_fresh_subgradient(self, four_block_instance):
+    def test_factorization_fields_match_fresh_ones(self, four_block_instance):
+        # From the cold start: J = 0 first, then J by SVD, then by Gram.
         x, part, lam = four_block_instance
-        params = DlrrParams(lam=lam, beta=1.0, max_iter=3, eps=1e-30)
-        state = SolverState.zeros(x.shape, mu=1.0)
-        update_L_blocks(state, x, part)
-        update_E(state, x, lam)
-        update_J(state, params.beta)
-        assert state.J_factor[0] is state.J  # update_J factors the J it forms
-        state.J = np.full_like(x, 2.0)  # rank one: subgradient u v^T
-        y2, mu = state.Y2.copy(), state.mu
-        update_J(state, params.beta)
-        expected = (1.0 / mu) * nuclear_subgradient(np.full_like(x, 2.0)) - y2 / mu + state.L
-        np.testing.assert_allclose(state.J, expected, atol=1e-12)
+        regimes = []
 
-    def test_objective_of_replaced_l_uses_fresh_norms(self, four_block_instance):
+        def check(state):
+            sub, norm, gram = subgradient_with_norm(state.J)
+            assert np.array_equal(state.J_sub, sub) and state.J_norm == norm and state.J_gram == gram
+            fresh = sum(nuclear_norm(state.L[:, cols]) for cols in part.block_columns)
+            assert abs(state.L_norm - fresh) <= 1e-12 * max(1.0, fresh)
+            regimes.append((bool(state.J.any()), gram))
+
+        solve(x, part, DlrrParams(lam=lam, beta=1.0, max_iter=150, eps=1e-30), callback=check)
+        assert len(regimes) == 150
+        assert {(False, False), (True, False), (True, True)} <= set(regimes)
+
+    def test_beta_zero_leaves_j_unfactored(self, four_block_instance):
         x, part, lam = four_block_instance
-        params = DlrrParams(lam=lam, beta=0.0)
-        state = SolverState.zeros(x.shape, mu=1.0)
-        update_L_blocks(state, x, part)
-        state.L = x.copy()
-        state.J = x.copy()
-        expected = sum(nuclear_norm(x[:, cols]) for cols in part.block_columns)
-        value = lagrangian_value(state, x - state.L - state.E, state.J - state.L, part, params)
-        assert value == pytest.approx(expected, rel=1e-12)
+
+        def check(state):
+            assert state.J_norm == 0.0 and state.J_gram is False
+
+        solve(x, part, DlrrParams(lam=lam, beta=0.0, max_iter=50, eps=1e-30), callback=check)
 
     def test_trace_lengths_match_iterations(self, rpca_result):
         trace = rpca_result["trace"]
