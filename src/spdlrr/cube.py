@@ -35,14 +35,6 @@ class HsiCube:
     def bands(self):
         return self.x.shape[0]
 
-    @property
-    def n_pixels(self):
-        return self.height * self.width
-
-    def band_image(self, b):
-        """Band b as an (height, width) array."""
-        return self.x[b].reshape(self.height, self.width)
-
 
 def normalize(cube):
     """Min-max rescale all entries of the cube into [0, 1] globally."""

@@ -201,24 +201,20 @@ def check_map_classes(n_classes):
         raise DegenerateInput(f"{n_classes} classes do not fit 255 distinct gray levels")
 
 
-def render_map(predictions, path, n_classes=None, class_ids=None):
-    """Write a binary PGM classification map plus a '<path>.palette.txt'
-    file listing 'class gray' pairs.  Gray levels are distinct per class, so
-    more than 255 classes raise DegenerateInput.
+def render_map(predictions, path, n_classes, class_ids):
+    """Write a binary PGM classification map of classes 0..n_classes plus a
+    '<path>.palette.txt' file listing 'class gray' pairs.  Gray levels are
+    distinct per class, so more than 255 classes raise DegenerateInput.
 
-    class_ids optionally renames class c in the palette (e.g. back to the
-    ids used in the source label raster)."""
+    class_ids[c] is the palette's name for class c (e.g. its id in the
+    source label raster; range(n_classes + 1) keeps the ids)."""
     labels = predictions.labels
-    if n_classes is None:
-        n_classes = max(1, int(labels.max()))
     check_map_classes(n_classes)
     levels = np.array(class_gray_levels(n_classes), dtype=np.uint8)
     image = levels[labels]
     h, w = labels.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     _atomic_write_bytes(path, header + image.tobytes())
-    if class_ids is None:
-        class_ids = range(n_classes + 1)
     palette = "\n".join(f"{c} {g}" for c, g in zip(class_ids, levels)) + "\n"
     _atomic_write_text(path + ".palette.txt", palette)
 

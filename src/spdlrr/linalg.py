@@ -10,6 +10,9 @@ import scipy.linalg
 from .errors import SvdFailure
 
 _GRAM_FLOOR = 1e-3  # see _gram_factor
+# A nuclear subgradient keeps the directions with sigma > _RANK_TOL * sigma_max.
+# _RANK_TOL < _GRAM_FLOOR, so an a that passes the Gram gate has none to cut.
+_RANK_TOL = 1e-10
 
 
 def soft_threshold(x, eps):
@@ -66,7 +69,7 @@ def svt_with_norm(a, tau, gram=False):
     norm = scipy.linalg.norm(a.ravel(), check_finite=False)  # BLAS nrm2: scaled, no underflow
     if norm <= tau and np.isfinite(norm):  # NaN and Inf go on to thin_svd's check
         return np.zeros_like(a), 0.0
-    factor = _gram_factor(a, _GRAM_FLOOR) if gram else None
+    factor = _gram_factor(a) if gram else None
     if factor is not None:
         v, b, s, transposed = factor
         kept = soft_threshold(s, tau)
@@ -87,30 +90,30 @@ def max_norm(a):
     return float(np.max(np.abs(a)))
 
 
-def nuclear_subgradient(a, rank_tol=1e-10):
+def nuclear_subgradient(a):
     """Canonical subgradient U_r V_r^T of the nuclear norm at a.
 
-    Keeps singular directions with sigma > rank_tol * sigma_max.  At a = 0
-    the zero matrix is returned, which lies in the subdifferential there.
+    Keeps singular directions with sigma > 1e-10 * sigma_max.  At a = 0 the
+    zero matrix is returned, which lies in the subdifferential there.
     """
-    return subgradient_with_norm(a, rank_tol)[0]
+    return subgradient_with_norm(a)[0]
 
 
-def _gram_factor(a, floor):
+def _gram_factor(a):
     """Factor a through the Gram matrix G = t t^T of its smaller side t (a,
     or a^T when a is tall): (V, B, sigma, transposed) with V the eigenvectors
     of G, B = V^T t and sigma the row norms of B, a's singular values.
 
-    None unless every singular value exceeds floor * ||a||_F, as a Cholesky
-    factorization of G minus that bound squared tells: squaring into G loses
-    singular values far below the largest."""
+    None unless every singular value exceeds _GRAM_FLOOR * ||a||_F, as a
+    Cholesky factorization of G minus that bound squared tells: squaring
+    into G loses singular values far below the largest."""
     transposed = a.shape[0] > a.shape[1]
     t = a.T if transposed else a
     with np.errstate(invalid="ignore", over="ignore"):  # a G that is not finite fails below
         g = t @ t.T
         diag = g.ravel()[:: g.shape[0] + 1]  # a writable view of G's diagonal
         saved = diag.copy()
-        shift = floor**2 * saved.sum()
+        shift = _GRAM_FLOOR**2 * saved.sum()
     if not 0.0 < shift < np.inf:
         return None
     diag -= shift  # G - shift I is positive definite iff its Cholesky succeeds
@@ -123,21 +126,21 @@ def _gram_factor(a, floor):
     return v, b, np.sqrt(np.einsum("ij,ij->i", b, b)), transposed
 
 
-def subgradient_with_norm(a, rank_tol=1e-10):
-    """(nuclear_subgradient(a, rank_tol), ||a||_*, gram) from one
-    factorization; gram tells whether it was the Gram one.
+def subgradient_with_norm(a):
+    """(nuclear_subgradient(a), ||a||_*, gram) from one factorization; gram
+    tells whether it was the Gram one.
 
     An all-zero a gives zeros and 0.0 without one.  An a that passes the
-    Gram gate (_gram_factor) at max(_GRAM_FLOOR, rank_tol) keeps every
-    direction: V diag(1/sigma) B.  Otherwise one thin SVD."""
+    Gram gate (_gram_factor) keeps every direction: V diag(1/sigma) B.
+    Otherwise one thin SVD."""
     a = np.asarray(a, dtype=np.float64)
     if not a.any():
         return np.zeros_like(a), 0.0, False
-    factor = _gram_factor(a, max(_GRAM_FLOOR, rank_tol))
+    factor = _gram_factor(a)
     if factor is not None:
         v, b, s, transposed = factor
         b /= s[:, None]
         return (b.T @ v.T if transposed else v @ b), float(s.sum()), True  # C-ordered, as a is
     u, s, vt = thin_svd(a)
-    keep = s > rank_tol * s[0]
+    keep = s > _RANK_TOL * s[0]
     return u[:, keep] @ vt[keep, :], float(s.sum()), False

@@ -15,7 +15,6 @@ from .classify import (
     DEFAULT_KNN_K,
     LabelField,
     MetricsReport,
-    TrainSplit,
     check_classifier,
     evaluate,
     split,
@@ -41,12 +40,16 @@ class PipelineConfig:
     def __post_init__(self):
         if self.t_max < 1:
             raise ValueError("t_max must be at least 1")
+        if self.initial_superpixels < 1:
+            raise ValueError("initial_superpixels must be at least 1")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
         if self.m_split < 1:
             raise ValueError("m_split must be at least 1")
         if self.knn_k < 1:
             raise ValueError("knn_k must be at least 1")
+        if not 0.0 < self.split_percent < 1.0:
+            raise ValueError("split_percent must lie strictly between 0 and 1")
         check_classifier(self.classifier)
 
 
@@ -55,26 +58,25 @@ class PipelineResult:
     l_final: np.ndarray
     e_final: np.ndarray
     partitions: list
-    predictions: list
     final_predictions: LabelField
     metrics: MetricsReport
     traces: list
     converged: list
-    split: TrainSplit
 
 
 def run(cube, labels, config):
     """Run the full loop and score the final restoration.
 
     Returns a PipelineResult holding the restoration, the per-round
-    partitions, refinement predictions and solver traces, the final
-    per-pixel predictions, and the test-set metrics.  A non-converged solve
-    is recorded in `converged` and the loop continues.
+    refined partitions and solver traces, the final per-pixel predictions,
+    and the metrics on the test pixels of split(labels,
+    config.split_percent, config.seed).  A non-converged solve is recorded
+    in `converged` and the loop continues.
     """
     cube = normalize(cube)
     tsplit = split(labels, config.split_percent, config.seed)
     working = cube
-    partitions, predictions, traces, converged = [], [], [], []
+    partitions, traces, converged = [], [], []
     restored, variations = None, None
     for _ in range(config.t_max):
         base = project_base_image(working)
@@ -92,7 +94,6 @@ def run(cube, labels, config):
         restored, variations, trace, ok = solve(cube.x, blocks, config.dlrr)
         working = HsiCube(cube.height, cube.width, restored)
         partitions.append(part)
-        predictions.append(LabelField(guided))
         traces.append(trace)
         converged.append(ok)
     final_preds = train_predict(
@@ -103,10 +104,8 @@ def run(cube, labels, config):
         l_final=restored,
         e_final=variations,
         partitions=partitions,
-        predictions=predictions,
         final_predictions=final_preds,
         metrics=metrics,
         traces=traces,
         converged=converged,
-        split=tsplit,
     )

@@ -78,10 +78,6 @@ class BlockPartition:
         if not np.array_equal(np.sort(merged), np.arange(self.n_cols)):
             raise ValueError("blocks must disjointly cover all columns exactly once")
 
-    @property
-    def n_blocks(self):
-        return len(self.block_columns)
-
     @classmethod
     def from_labels(cls, labels):
         """Group columns by their label value (labels must be 0..S-1)."""

@@ -34,16 +34,12 @@ class SuperpixelPartition:
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
 
-    @property
-    def shape(self):
-        return self.labels.shape
-
     def validate(self):
         """Check coverage, id contiguity, non-emptiness, and 4-connectivity."""
-        sizes = np.bincount(self.labels.ravel(), minlength=self.count)
         if self.labels.min() < 0 or self.labels.max() >= self.count:
             raise ValueError("superpixel ids out of range")
-        if sizes.size != self.count or (sizes == 0).any():
+        sizes = np.bincount(self.labels.ravel(), minlength=self.count)
+        if (sizes == 0).any():
             raise ValueError("superpixel ids must be contiguous and non-empty")
         for sid in range(self.count):
             _, parts = ndimage.label(self.labels == sid, structure=_FOUR_CONNECTED)
@@ -247,12 +243,10 @@ def _slic(values, mask, target):
 
     Returns (labels, count) with labels -1 outside mask and contiguous ids
     0..count-1 inside.  Seed centers are laid on a grid over the full window
-    and centers that attract no masked pixel are dropped.
+    and centers that attract no masked pixel are dropped.  target is at most
+    the number of masked pixels (segment and refine ensure it).
     """
     h, w = values.shape
-    n_masked = int(mask.sum())
-    if target > n_masked:
-        target = n_masked
     rows, cols = _grid_shape(h, w, target)
     centers = _init_centers(values, rows, cols)
     step = math.sqrt(h * w / centers.shape[0])

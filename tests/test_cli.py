@@ -122,6 +122,33 @@ class TestExitCodes:
         assert "unknown classifier kind 'foo'" in capsys.readouterr().err
         assert segments == [] and sorted(os.listdir(demo_dir)) == before
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("classify", ["--superpixels", "0"], "initial_superpixels"),
+            ("classify", ["--percent", "1.5"], "split_percent"),
+            ("segment", ["--superpixels", "0"], "initial_superpixels"),
+        ],
+        ids=["classify-superpixels", "classify-percent", "segment-superpixels"],
+    )
+    def test_bad_count_or_fraction_is_exit_two_before_the_run(
+        self, demo_dir, capsys, monkeypatch, command, flags, message
+    ):
+        calls = []
+        for module in (spdlrr.pipeline, cli):
+            for name in ("project_base_image", "segment"):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
+        if command == "classify":
+            argv = classify_args(demo_dir, "out", extra=flags)
+        else:
+            argv = ["segment", "--cube", str(demo_dir / "cube.json"), "--out", str(demo_dir / "p.txt")]
+            argv += flags
+        before = sorted(os.listdir(demo_dir))
+        assert cli_main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert calls == [] and sorted(os.listdir(demo_dir)) == before
+
     def test_too_many_classes_fail_before_the_run(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         spio.write_cube(spdlrr.HsiCube(16, 32, rng.random((4, 512))), str(tmp_path / "cube.json"))

@@ -194,13 +194,13 @@ class TestThinSvd:
         assert err <= 1e-8
 
 
-def svd_subgradient(a, rank_tol=1e-10):
+def svd_subgradient(a):
     """subgradient_with_norm by one thin SVD, as it was before the Gram
     path: the reference for both its paths."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros_like(a), 0.0
-    keep = s > rank_tol * s[0]
+    keep = s > 1e-10 * s[0]
     return u[:, keep] @ vt[keep, :], float(s.sum())
 
 
@@ -221,11 +221,11 @@ def floor_sigma(k, factor):
     return [1.0] * (k - 1) + [c * np.sqrt((k - 1) / (1.0 - c * c))]
 
 
-def counted_subgradient(a, rank_tol=1e-10):
+def counted_subgradient(a):
     """(subgradient, norm, number of thin_svd calls it took); the Gram bit
     it returns must say whether a nonzero a was factored without an SVD."""
     with mock.patch.object(linalg, "thin_svd", wraps=linalg.thin_svd) as svd:
-        g, norm, gram = subgradient_with_norm(a, rank_tol)
+        g, norm, gram = subgradient_with_norm(a)
     assert gram == (a.any() and svd.call_count == 0)
     return g, norm, svd.call_count
 
@@ -259,25 +259,17 @@ class TestGramSubgradient:
             assert svd_calls == 1 and np.array_equal(g, g_ref) and norm == norm_ref
 
     @pytest.mark.parametrize("tall", [False, True])
-    @pytest.mark.parametrize(
-        "case",
-        ["rank-deficient", "just-below-floor", "zero", "rank-tol-above-floor"],
-    )
+    @pytest.mark.parametrize("case", ["rank-deficient", "just-below-floor", "zero"])
     def test_svd_path_is_bitwise_the_reference(self, case, tall):
-        rank_tol = 1e-10
         if case == "rank-deficient":
             a = planted(1, (6, 9), [3.0, 1.0])
         elif case == "just-below-floor":
             a = planted(2, (6, 9), floor_sigma(6, 0.99))
-        elif case == "zero":
-            a = np.zeros((6, 9))
         else:
-            # Well clear of the floor, but rank_tol drops the last direction.
-            a = planted(3, (6, 9), [1.0, 0.9, 0.8, 0.7, 0.6, 0.3])
-            rank_tol = 0.5
+            a = np.zeros((6, 9))
         a = a.T.copy() if tall else a
-        g, norm, svd_calls = counted_subgradient(a, rank_tol)
-        g_ref, norm_ref = svd_subgradient(a, rank_tol)
+        g, norm, svd_calls = counted_subgradient(a)
+        g_ref, norm_ref = svd_subgradient(a)
         assert svd_calls == (0 if case == "zero" else 1)  # zero: answered without one
         assert np.array_equal(g, g_ref) and norm == norm_ref
 
@@ -313,17 +305,6 @@ class TestGramSubgradient:
         g, norm, gram = subgradient_with_norm(a)
         assert gram and np.array_equal(g, v @ b if t is a else b.T @ v.T)
         assert norm == float(s.sum())
-
-    def test_rank_tol_above_floor_sets_the_gate(self):
-        # sigma_min / ||a||_F is 0.5: the Gram path keeps every direction
-        # under rank_tol 0.4, and leaves rank_tol 0.6 to the SVD.
-        a = planted(4, (4, 7), [1.0, 1.0, 1.0, 1.0])
-        for rank_tol, expected_calls in ((0.4, 0), (0.6, 1)):
-            g, norm, svd_calls = counted_subgradient(a, rank_tol)
-            g_ref, norm_ref = svd_subgradient(a, rank_tol)
-            assert svd_calls == expected_calls
-            assert np.max(np.abs(g - g_ref)) <= 1e-10
-            assert norm == pytest.approx(norm_ref, rel=1e-12)
 
     def test_well_conditioned_takes_no_svd_ill_conditioned_one(self):
         well = np.random.default_rng(5).standard_normal((20, 50))

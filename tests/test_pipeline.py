@@ -39,6 +39,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="knn_k"):
             PipelineConfig(knn_k=k)
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_superpixel_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="initial_superpixels"):
+            PipelineConfig(initial_superpixels=count)
+
+    @pytest.mark.parametrize("percent", [0.0, 1.0, -0.1, 1.5])
+    def test_split_fraction_outside_open_unit_interval_rejected(self, percent):
+        with pytest.raises(ValueError, match="split_percent"):
+            PipelineConfig(split_percent=percent)
+
     def test_unknown_classifier_rejected(self):
         with pytest.raises(ValueError, match="unknown classifier kind 'foo'"):
             PipelineConfig(classifier="foo")
@@ -79,7 +89,6 @@ class TestRun:
         result = pipeline_results[1.0]
         assert len(result.traces) == 3
         assert len(result.partitions) == 3
-        assert len(result.predictions) == 3
         assert len(result.converged) == 3
 
     def test_restoration_plus_variations_reproduce_normalized_cube(

@@ -456,7 +456,7 @@ class TestSolve:
         x, part, lam = four_block_instance
         params = DlrrParams(lam=lam, beta=beta, mu0=mu0, max_iter=100, eps=1e-30)
         flags, _ = solve_recording_gram(x, part, params, monkeypatch)
-        assert len(flags) == 100 and all(len(f) == part.n_blocks for f in flags)
+        assert len(flags) == 100 and all(len(f) == len(part.block_columns) for f in flags)
         assert not any(flags[0])
         if beta == 0.0:
             assert not any(any(f) for f in flags)
@@ -482,7 +482,7 @@ class TestSolve:
         _, _, trace, _ = solve(x, part, params)
         n = trace.iterations
         assert n == 25 and np.isfinite(trace.objective).all()
-        assert calls["thin_svd"] <= n * (part.n_blocks + 1) + 1
+        assert calls["thin_svd"] <= n * (len(part.block_columns) + 1) + 1
         assert calls["singular_values"] == 0
 
     def test_factorization_fields_match_fresh_ones(self, four_block_instance):

@@ -39,6 +39,7 @@ def smooth_image(seed, h, w):
 def assert_partition_invariants(part, parent_labels=None):
     """Coverage, contiguous non-empty ids, and 4-connectivity (within the
     parent's pixel set when parent_labels is given)."""
+    part.validate()
     labels = part.labels
     assert labels.min() >= 0 and labels.max() < part.count
     sizes = np.bincount(labels.ravel(), minlength=part.count)
@@ -49,6 +50,31 @@ def assert_partition_invariants(part, parent_labels=None):
         assert n_parts == 1, f"superpixel {sid} has {n_parts} components"
         if parent_labels is not None:
             assert len(np.unique(parent_labels[member])) == 1
+
+
+class TestValidate:
+    def test_valid_partition_passes(self):
+        quadrant_partition().validate()
+
+    @pytest.mark.parametrize(
+        "edit, count, message",
+        [
+            ("negative", 4, "out of range"),
+            ("too-large", 4, "out of range"),
+            ("empty", 5, "contiguous and non-empty"),
+            ("disconnected", 4, "superpixel 0 is not 4-connected"),
+        ],
+    )
+    def test_each_fault_has_its_own_message(self, edit, count, message):
+        labels = quadrant_partition().labels.copy()
+        if edit == "negative":
+            labels[0, 0] = -1
+        elif edit == "too-large":
+            labels[0, 0] = 4
+        elif edit == "disconnected":
+            labels[11, 11] = 0  # a lone pixel of 0 inside quadrant 3
+        with pytest.raises(ValueError, match=message):
+            SuperpixelPartition(labels, count).validate()
 
 
 class TestProjectBaseImage:
@@ -421,3 +447,42 @@ class TestBoundingBoxEquivalence:
         assert part.count < want.count
         assert got.count == want.count
         np.testing.assert_array_equal(got.labels, want.labels)
+
+
+class TestOrphanWindows:
+    """Masked pixels outside every center's search window take the
+    globally nearest center."""
+
+    def test_sweeps_label_every_masked_pixel(self):
+        # All centers bunched in one corner: with step 1 their windows
+        # reach only the first few rows and columns of the 40x40 image.
+        img = smooth_image(4, 40, 40)
+        mask = np.ones((40, 40), dtype=bool)
+        mask[10:30, 5:8] = False
+        rr, cc = np.meshgrid([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], indexing="ij")
+        centers = np.stack([img[0, 0] + 0.1 * rr.ravel(), rr.ravel(), cc.ravel()], axis=1)
+        labels = superpixel._kmeans_sweeps(img, mask, centers, 1.0)
+        assert (labels[mask] >= 0).all()
+        assert (labels[~mask] == -1).all()
+
+    def test_helper_takes_the_argmin_of_the_distance(self):
+        rng = np.random.default_rng(11)
+        values = rng.uniform(size=(15, 20))
+        mask = rng.uniform(size=(15, 20)) < 0.8
+        labels = np.where(mask, rng.integers(0, 5, size=(15, 20)), -1)
+        labels[mask & (rng.uniform(size=(15, 20)) < 0.4)] = -1
+        before = labels.copy()
+        centers = np.column_stack(
+            [rng.uniform(size=5), rng.uniform(0, 15, size=5), rng.uniform(0, 20, size=5)]
+        )
+        comp2 = 0.3
+        superpixel._assign_orphan_windows(values, mask, labels, centers, comp2)
+        missing = mask & (before < 0)
+        assert missing.any()
+        for r, c in zip(*np.nonzero(missing)):
+            d2 = [
+                (values[r, c] - v) ** 2 + comp2 * ((r - cr) ** 2 + (c - cc) ** 2)
+                for v, cr, cc in centers
+            ]
+            assert labels[r, c] == int(np.argmin(d2))
+        np.testing.assert_array_equal(labels[~missing], before[~missing])
