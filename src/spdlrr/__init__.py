@@ -27,7 +27,7 @@ from .linalg import (
     svt,
 )
 from .pipeline import PipelineConfig, PipelineResult, run
-from .solver import BlockPartition, DlrrParams, SolveTrace, SolverState, solve
+from .solver import DlrrParams, SolveTrace, SolverState, solve
 from .superpixel import (
     SuperpixelPartition,
     class_ratios,
@@ -39,7 +39,6 @@ from .superpixel import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPartition",
     "DegenerateInput",
     "DlrrParams",
     "FormatError",

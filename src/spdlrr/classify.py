@@ -65,9 +65,9 @@ def split(labels, percent, seed):
         if idx.size == 0:
             raise DegenerateInput(f"class {c} has no labeled pixels")
         # The 1e-9 slack keeps exact products (e.g. 5% of 20) from being
-        # pushed over the next integer by float rounding.
+        # pushed over the next integer by float rounding; percent < 1 keeps
+        # n_train <= idx.size.
         n_train = max(1, math.ceil(percent * idx.size - 1e-9))
-        n_train = min(n_train, idx.size)
         train[rng.choice(idx, size=n_train, replace=False)] = True
     test = (flat > 0) & ~train
     shape = labels.shape

@@ -21,7 +21,7 @@ from .classify import LabelField, evaluate
 from .cube import HsiCube
 from .errors import FormatError, SpdlrrError
 from .pipeline import PipelineConfig, run
-from .solver import BlockPartition, DlrrParams, solve
+from .solver import DlrrParams, solve
 from .superpixel import first_appearance_ids, project_base_image, segment
 
 _PRESET_DIR = os.path.join(os.path.dirname(__file__), "configs")
@@ -122,8 +122,7 @@ def _cmd_decompose(args):
     partition = spio.load_partition(part_path)
     if partition.labels.shape != (cube.height, cube.width):
         raise FormatError("partition raster does not match the cube dimensions")
-    blocks = BlockPartition.from_labels(partition.labels)
-    restored, variations, trace, converged = solve(cube.x, blocks, params)
+    restored, variations, trace, converged = solve(cube.x, partition.labels, params)
     os.makedirs(out_dir, exist_ok=True)
     spio.write_cube(HsiCube(cube.height, cube.width, restored), os.path.join(out_dir, "L.json"))
     spio.write_cube(HsiCube(cube.height, cube.width, variations), os.path.join(out_dir, "E.json"))

@@ -231,7 +231,7 @@ def write_trace_csv(trace, path):
 
 def load_config(path):
     """Parse a flat 'key = value' config file.  Blank lines and '#' comments
-    are allowed; unknown keys are rejected."""
+    are allowed; unknown keys and keys given twice are rejected."""
     values = {}
     for lineno, line in enumerate(_open_text(path), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -242,6 +242,8 @@ def load_config(path):
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in CONFIG_KEYS:
             raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise FormatError(f"{path}:{lineno}: key {key!r} given twice")
         try:
             values[key] = CONFIG_KEYS[key](raw)
         except ValueError as exc:

@@ -21,7 +21,7 @@ from .classify import (
     train_predict,
 )
 from .cube import HsiCube, normalize
-from .solver import BlockPartition, DlrrParams, solve
+from .solver import DlrrParams, solve
 from .superpixel import project_base_image, refine, segment
 
 
@@ -90,8 +90,7 @@ def run(cube, labels, config):
         part = refine(
             part, LabelField(guided), config.delta, config.m_split, base, config.seed
         )
-        blocks = BlockPartition.from_labels(part.labels)
-        restored, variations, trace, ok = solve(cube.x, blocks, config.dlrr)
+        restored, variations, trace, ok = solve(cube.x, part.labels, config.dlrr)
         working = HsiCube(cube.height, cube.width, restored)
         partitions.append(part)
         traces.append(trace)

@@ -60,34 +60,6 @@ class DlrrParams:
 
 
 @dataclass
-class BlockPartition:
-    """Disjoint column-index blocks covering all columns of the pixel matrix."""
-
-    block_columns: list
-    n_cols: int
-
-    def __post_init__(self):
-        self.block_columns = [
-            np.asarray(cols, dtype=np.intp) for cols in self.block_columns
-        ]
-        if not self.block_columns:
-            raise ValueError("partition needs at least one block")
-        if any(cols.size == 0 for cols in self.block_columns):
-            raise ValueError("every block must be non-empty")
-        merged = np.concatenate(self.block_columns)
-        if not np.array_equal(np.sort(merged), np.arange(self.n_cols)):
-            raise ValueError("blocks must disjointly cover all columns exactly once")
-
-    @classmethod
-    def from_labels(cls, labels):
-        """Group columns by their label value (labels must be 0..S-1)."""
-        labels = np.asarray(labels).ravel()
-        count = int(labels.max()) + 1
-        blocks = [np.flatnonzero(labels == i) for i in range(count)]
-        return cls(blocks, labels.size)
-
-
-@dataclass
 class SolverState:
     """All iterates of the solver, shaped like X, plus what the last
     factorizations gave about L and J.
@@ -144,9 +116,26 @@ def block_target(state, x):
     return 0.5 * ((x - state.E + state.Y1 / mu) + (state.J + state.Y2 / mu))
 
 
-def update_L_blocks(state, x, partition):
+def column_blocks(labels):
+    """Each block's ascending column indices, in block id order, from one
+    integer block id per column (a 1-D array or the H x W raster, read in
+    row-major order).  The ids must be 0..S-1, each labeling a column."""
+    labels = np.ravel(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"block ids must be integers, not {labels.dtype}")
+    labels = labels.astype(np.intp, casting="same_kind", copy=False)
+    if labels.size == 0 or labels.min() < 0 or labels.max() >= labels.size:
+        raise ValueError("block ids must lie in 0..S-1 for S <= the column count")
+    sizes = np.bincount(labels)
+    if not sizes.all():
+        raise ValueError(f"block id {int(np.argmin(sizes))} labels no column")
+    return np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+
+
+def update_L_blocks(state, x, blocks):
     """Closed-form block update: each block's restored part is the singular
-    value thresholding of its columns of W (block_target) at level 1/(2 mu).
+    value thresholding of its columns of W (block_target) at level 1/(2 mu);
+    `blocks` lists each block's column indices (column_blocks).
     W is formed once and blocks touch disjoint columns, so update order is
     irrelevant.  The thresholded singular values sum to state.L_norm.
 
@@ -159,7 +148,7 @@ def update_L_blocks(state, x, partition):
     w = block_target(state, x)
     tau = 1.0 / (2.0 * state.mu)
     total = 0.0
-    for k, cols in enumerate(partition.block_columns):
+    for k, cols in enumerate(blocks):
         try:
             block, norm = svt_with_norm(w[:, cols], tau, gram=state.J_gram)
         except SvdFailure as exc:
@@ -217,8 +206,11 @@ def lagrangian_value(state, r1, r2, params):
     return float(val)
 
 
-def solve(x, partition, params, callback=None):
+def solve(x, labels, params, callback=None):
     """Run the alternating closed-form updates from the all-zeros start.
+
+    `labels` holds one block id per column of x (see column_blocks), e.g.
+    a superpixel raster; malformed ids raise ValueError.
 
     Per iteration: all block L_i updates, then E, then J, then the two
     constraint residuals X - L - E and J - L, formed once.  Their max norms
@@ -234,15 +226,16 @@ def solve(x, partition, params, callback=None):
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    if partition.n_cols != x.shape[1]:
-        raise ValueError("partition does not match the matrix's column count")
+    if np.size(labels) != x.shape[1]:
+        raise ValueError(f"need one block id per column of x: {np.size(labels)} for {x.shape[1]}")
+    blocks = column_blocks(labels)
 
     state = SolverState.zeros(x.shape, mu=params.mu0)
     trace = SolveTrace()
     converged = False
     for it in range(params.max_iter):
         state.iteration = it + 1
-        update_L_blocks(state, x, partition)
+        update_L_blocks(state, x, blocks)
         update_E(state, x, params.lam)
         update_J(state, params.beta)
         r1 = x - state.L - state.E

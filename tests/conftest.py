@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from spdlrr import BlockPartition, DlrrParams, PipelineConfig, run, solve
+from spdlrr import DlrrParams, PipelineConfig, run, solve
 from spdlrr.synthetic import rpca_instance, two_class_cube, two_subspace_matrix
 
 RPCA_LAM = float(1.0 / np.sqrt(200.0))
@@ -19,7 +19,8 @@ CUBE_LAM = 1.0 / 6.0
 
 
 def single_block(n):
-    return BlockPartition([np.arange(n)], n)
+    """Block ids putting all n columns in block 0."""
+    return np.zeros(n, dtype=np.int64)
 
 
 @pytest.fixture(scope="session")
@@ -82,8 +83,7 @@ def pipeline_results():
 
 @pytest.fixture(scope="session")
 def four_block_instance():
-    """Fixed 20x40 instance split into four 10-column blocks."""
+    """Fixed 20x40 instance split into four 10-column blocks, as block ids."""
     rng = np.random.default_rng(3)
     x = rng.standard_normal((20, 40))
-    blocks = [np.arange(i * 10, (i + 1) * 10) for i in range(4)]
-    return x, BlockPartition(blocks, 40), 1.0 / np.sqrt(40.0)
+    return x, np.repeat(np.arange(4), 10), 1.0 / np.sqrt(40.0)

@@ -21,7 +21,7 @@ from spdlrr import io as spio
 from spdlrr.cli import cli_main
 from spdlrr.superpixel import SuperpixelPartition
 
-from test_solver import reference_three_term_ialm
+from test_solver import reference_blocks, reference_three_term_ialm
 from test_superpixel import assert_partition_invariants
 
 
@@ -49,19 +49,19 @@ def test_criterion_1_rpca_reduction(rpca_result):
 
 
 def test_criterion_2_cross_oracle_block_equivalence(four_block_instance):
-    x, partition, lam = four_block_instance
+    x, labels, lam = four_block_instance
     n_iter = 30
     params = DlrrParams(lam=lam, beta=0.0, max_iter=n_iter, eps=1e-30)
     recorded = []
     solve(
         x,
-        partition,
+        labels,
         params,
         callback=lambda st: recorded.append((st.L.copy(), st.E.copy())),
     )
     assert len(recorded) == n_iter
     worst = 0.0
-    for k, cols in enumerate(partition.block_columns):
+    for k, cols in enumerate(reference_blocks(labels)):
         reference = reference_three_term_ialm(
             x[:, cols], lam, params.mu0, params.rho, params.mu_max, n_iter
         )
@@ -83,8 +83,8 @@ def test_criterion_3_convergence_behavior(
     for beta in (0.0, 1.0):
         traces[f"two-subspace beta={beta}"] = subspace_results[beta][2]
         assert subspace_results[beta][3]
-    x, partition, lam = four_block_instance
-    _, _, tr, conv = solve(x, partition, DlrrParams(lam=lam, beta=0.0, max_iter=300))
+    x, labels, lam = four_block_instance
+    _, _, tr, conv = solve(x, labels, DlrrParams(lam=lam, beta=0.0, max_iter=300))
     assert conv
     traces["four-block"] = tr
     for t, tr_p in enumerate(pipeline_results[1.0].traces, 1):

@@ -77,6 +77,16 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    def test_config_key_given_twice_is_exit_two(self, demo_dir, capsys):
+        config = demo_dir / "run.cfg"
+        config.write_text("superpixels = 4\nsuperpixels = 16\n")
+        out = demo_dir / "p.txt"
+        rc = cli_main(["segment", "--config", str(config), "--cube", str(demo_dir / "cube.json"),
+                       "--out", str(out)])
+        assert rc == 2
+        assert "run.cfg:2: key 'superpixels' given twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_string_data_path_is_exit_two(self, demo_dir, capsys):
         manifest_path = demo_dir / "cube.json"
         manifest = json.loads(manifest_path.read_text())

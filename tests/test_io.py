@@ -269,6 +269,12 @@ class TestConfig:
         with pytest.raises(FormatError):
             spio.load_config(str(path))
 
+    def test_key_given_twice_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("lambda = 0.05\n# again\nlambda = 0.5\n")
+        with pytest.raises(FormatError, match=r"run.cfg:3: key 'lambda' given twice"):
+            spio.load_config(str(path))
+
     def test_shipped_presets_parse(self):
         import spdlrr
 
@@ -279,6 +285,8 @@ class TestConfig:
             "pavia_university.cfg",
             "salinas_valley.cfg",
         ]
+        for name in presets:
+            spio.load_config(os.path.join(preset_dir, name))
         values = spio.load_config(os.path.join(preset_dir, "indian_pines.cfg"))
         assert values["lambda"] == 0.05
         assert values["superpixels"] == 64

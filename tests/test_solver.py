@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import spdlrr.linalg
 import spdlrr.solver
 from spdlrr import (
-    BlockPartition,
     DlrrParams,
     SolverDiverged,
     SolverState,
@@ -18,6 +19,7 @@ from spdlrr import (
 from spdlrr.linalg import subgradient_with_norm, svt_with_norm
 from spdlrr.solver import (
     block_target,
+    column_blocks,
     update_E,
     update_J,
     update_L_blocks,
@@ -25,6 +27,12 @@ from spdlrr.solver import (
 )
 
 from conftest import single_block
+
+
+def reference_blocks(labels):
+    """Each block's column indices, from block ids 0..S-1, by one mask per id."""
+    labels = np.ravel(labels)
+    return [np.flatnonzero(labels == i) for i in range(int(labels.max()) + 1)]
 
 
 def reference_three_term_ialm(x, lam, mu0, rho, mu_max, n_iter):
@@ -52,7 +60,7 @@ def reference_three_term_ialm(x, lam, mu0, rho, mu_max, n_iter):
     return iterates
 
 
-def reference_block_dlrr(x, partition, params, n_iter):
+def reference_block_dlrr(x, labels, params, n_iter):
     """The block solver's iteration written out plainly: a per-block svt of
     the gathered target, by Gram where the last J took the Gram path, the
     subgradient of J recomputed inside the J update, and the objective from
@@ -62,14 +70,14 @@ def reference_block_dlrr(x, partition, params, n_iter):
     objectives = []
     gram = False
     for _ in range(n_iter):
-        for cols in partition.block_columns:
+        for cols in reference_blocks(labels):
             w = 0.5 * ((x[:, cols] - E[:, cols] + Y1[:, cols] / mu) + (J[:, cols] + Y2[:, cols] / mu))
             L[:, cols] = svt_with_norm(w, 1.0 / (2.0 * mu), gram=gram)[0]
         E = soft_threshold(x - L + Y1 / mu, params.lam / mu)
         J = (params.beta / mu) * nuclear_subgradient(J) - Y2 / mu + L
         gram = subgradient_with_norm(J)[2]
         r1, r2 = x - L - E, J - L
-        obj = sum(nuclear_norm(L[:, cols]) for cols in partition.block_columns)
+        obj = sum(nuclear_norm(L[:, cols]) for cols in reference_blocks(labels))
         obj += params.lam * np.abs(E).sum() - params.beta * nuclear_norm(J)
         obj += np.sum(Y1 * r1) + np.sum(Y2 * r2) + 0.5 * mu * (np.sum(r1 * r1) + np.sum(r2 * r2))
         objectives.append(float(obj))
@@ -79,7 +87,7 @@ def reference_block_dlrr(x, partition, params, n_iter):
     return L, E, objectives
 
 
-def reference_all_svd(x, partition, params, n_iter):
+def reference_all_svd(x, labels, params, n_iter):
     """The block iteration with every factorization one thin SVD, from numpy
     alone: block SVTs at 1/(2 mu), and the J subgradient keeping singular
     values above 1e-10 sigma_max.  Returns the (L, E) iterates."""
@@ -87,7 +95,7 @@ def reference_all_svd(x, partition, params, n_iter):
     mu = params.mu0
     iterates = []
     for _ in range(n_iter):
-        for cols in partition.block_columns:
+        for cols in reference_blocks(labels):
             w = 0.5 * ((x[:, cols] - E[:, cols] + Y1[:, cols] / mu) + (J[:, cols] + Y2[:, cols] / mu))
             u, s, vt = np.linalg.svd(w, full_matrices=False)
             L[:, cols] = (u * np.maximum(s - 1.0 / (2.0 * mu), 0.0)) @ vt
@@ -103,7 +111,7 @@ def reference_all_svd(x, partition, params, n_iter):
     return iterates
 
 
-def solve_recording_gram(x, partition, params, monkeypatch):
+def solve_recording_gram(x, labels, params, monkeypatch):
     """solve, plus the gram= flag of every block SVT and the (L, E)
     iterate, per iteration."""
     flags, per_iteration, iterates = [], [], []
@@ -119,7 +127,7 @@ def solve_recording_gram(x, partition, params, monkeypatch):
         iterates.append((state.L.copy(), state.E.copy()))
 
     monkeypatch.setattr(spdlrr.solver, "svt_with_norm", recorded)
-    solve(x, partition, params, callback=record)
+    solve(x, labels, params, callback=record)
     return per_iteration, iterates
 
 
@@ -170,58 +178,87 @@ class TestParams:
             DlrrParams(mu_max=np.nan)
 
 
-class TestBlockPartition:
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            BlockPartition([[0, 1], [1, 2]], 3)
+@st.composite
+def dense_ids(draw):
+    """Block ids 0..S-1, every id used, as a 1-D array or a 2-D raster."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=12))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.uint8]))
+    raw = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 9)))
+    return np.unique(raw, return_inverse=True)[1].reshape(shape).astype(dtype)
 
-    def test_rejects_gap(self):
-        with pytest.raises(ValueError):
-            BlockPartition([[0], [2]], 3)
 
-    def test_rejects_empty_block(self):
-        with pytest.raises(ValueError):
-            BlockPartition([[0, 1, 2], []], 3)
+class TestColumnBlocks:
+    def test_hand_case(self):
+        assert [list(b) for b in column_blocks([1, 0, 1, 2])] == [[1], [0, 2], [3]]
 
-    def test_from_labels(self):
-        part = BlockPartition.from_labels([1, 0, 1, 2])
-        assert [list(b) for b in part.block_columns] == [[1], [0, 2], [3]]
+    @given(dense_ids())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_one_mask_per_id(self, labels):
+        got = column_blocks(labels)
+        want = reference_blocks(labels)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.intp and np.array_equal(g, w)
+
+    def test_raster_is_read_row_major(self):
+        raster = np.array([[0, 1, 1], [2, 0, 2]])
+        assert [list(b) for b in column_blocks(raster)] == [[0, 4], [1, 2], [3, 5]]
+
+
+class TestMalformedIds:
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            pytest.param(np.zeros(12), "integers", id="float"),
+            pytest.param(np.zeros(12, dtype=bool), "integers", id="bool"),
+            pytest.param(np.r_[np.zeros(11, dtype=int), -1], "0..S-1", id="negative"),
+            pytest.param(np.r_[np.zeros(11, dtype=int), 12], "0..S-1", id="above-column-count"),
+            pytest.param(np.repeat([0, 2], 6), "block id 1 labels no column", id="unused-id"),
+            pytest.param(np.zeros(11, dtype=int), "one block id per column", id="too-few"),
+            pytest.param(np.zeros(13, dtype=int), "one block id per column", id="too-many"),
+            pytest.param(np.zeros((3, 3), dtype=int), "one block id per column", id="raster"),
+        ],
+    )
+    def test_solve_rejects(self, labels, message):
+        x = np.ones((4, 12))
+        with pytest.raises(ValueError, match=message):
+            solve(x, labels, DlrrParams(lam=0.1))
 
 
 class TestUpdateLBlocks:
     def test_w_is_half_x_from_zero_state(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 6))
-        part = BlockPartition([[0, 2, 4], [1, 3, 5]], 6)
         state = fresh_state(x.shape, mu=1.0)
-        for cols in part.block_columns:
+        for cols in ([0, 2, 4], [1, 3, 5]):
             np.testing.assert_allclose(block_target(state, x)[:, cols], 0.5 * x[:, cols])
 
     def test_single_block_diagonal(self):
         x = np.diag([3.0, 1.0])
         state = fresh_state(x.shape, mu=1.0)
-        update_L_blocks(state, x, single_block(2))
+        update_L_blocks(state, x, [np.arange(2)])
         np.testing.assert_allclose(state.L, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_matches_straight_line_loop(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((5, 12))
-        part = BlockPartition([[0, 3, 7], [1, 2, 8, 9], [4, 5, 6, 10, 11]], 12)
+        blocks = [np.array([0, 3, 7]), np.array([1, 2, 8, 9]), np.array([4, 5, 6, 10, 11])]
         state = fresh_state(x.shape, seed=42)
         expected = np.empty_like(x)
-        for cols in part.block_columns:
+        for cols in blocks:
             w = 0.5 * (
                 (x[:, cols] - state.E[:, cols] + state.Y1[:, cols] / state.mu)
                 + (state.J[:, cols] + state.Y2[:, cols] / state.mu)
             )
             u, s, vt = np.linalg.svd(w, full_matrices=False)
             expected[:, cols] = (u * np.maximum(s - 1 / (2 * state.mu), 0)) @ vt
-        update_L_blocks(state, x, part)
+        update_L_blocks(state, x, blocks)
         np.testing.assert_allclose(state.L, expected, atol=1e-12)
 
 
     def test_gram_flag_follows_the_current_j(self, four_block_instance, monkeypatch):
-        x, part, _ = four_block_instance
+        x, labels, _ = four_block_instance
+        blocks = column_blocks(labels)
         state = fresh_state(x.shape, seed=4)
         flags = []
         real = spdlrr.solver.svt_with_norm
@@ -231,10 +268,10 @@ class TestUpdateLBlocks:
             return real(a, tau, gram=gram)
 
         monkeypatch.setattr(spdlrr.solver, "svt_with_norm", recorded)
-        update_L_blocks(state, x, part)  # J not factored yet
+        update_L_blocks(state, x, blocks)  # J not factored yet
         update_J(state, 1.0)
         assert state.J_gram  # a random 20x40 J passes the Gram gate
-        update_L_blocks(state, x, part)
+        update_L_blocks(state, x, blocks)
         assert flags == [False] * 4 + [True] * 4
 
 
@@ -320,25 +357,24 @@ class TestUpdateMultipliers:
 
 class TestSolve:
     def test_stopping_rule_is_inclusive(self, four_block_instance):
-        x, part, lam = four_block_instance
-        _, _, first, converged = solve(x, part, DlrrParams(lam=lam, max_iter=1))
+        x, labels, lam = four_block_instance
+        _, _, first, converged = solve(x, labels, DlrrParams(lam=lam, max_iter=1))
         assert not converged
         eps = max(first.r1[0], first.r2[0])
-        _, _, trace, converged = solve(x, part, DlrrParams(lam=lam, max_iter=5, eps=eps))
+        _, _, trace, converged = solve(x, labels, DlrrParams(lam=lam, max_iter=5, eps=eps))
         assert converged and trace.iterations == 1
 
     def test_recorded_residuals_match_fresh_ones(self, four_block_instance):
-        x, part, lam = four_block_instance
+        x, labels, lam = four_block_instance
         fresh = []
         record = lambda s: fresh.append((max_norm(x - s.L - s.E), max_norm(s.J - s.L)))
-        _, _, trace, _ = solve(x, part, DlrrParams(lam=lam, max_iter=30, eps=1e-30), callback=record)
+        _, _, trace, _ = solve(x, labels, DlrrParams(lam=lam, max_iter=30, eps=1e-30), callback=record)
         assert len(fresh) == trace.iterations == 30
         assert fresh == list(zip(trace.r1, trace.r2))
 
     def test_zero_matrix_converges_immediately(self):
         x = np.zeros((4, 6))
-        part = BlockPartition([[0, 1, 2], [3, 4, 5]], 6)
-        L, E, trace, converged = solve(x, part, DlrrParams(lam=0.1))
+        L, E, trace, converged = solve(x, np.repeat([0, 1], 3), DlrrParams(lam=0.1))
         assert converged
         assert trace.iterations == 1
         np.testing.assert_allclose(L, 0)
@@ -366,25 +402,26 @@ class TestSolve:
             assert trace.r2[-1] <= 1e-6
 
     def test_block_order_is_irrelevant(self):
+        # Renumbering the blocks changes the order they are updated in.
         rng = np.random.default_rng(23)
         x = rng.standard_normal((6, 12))
-        blocks = [[0, 5, 6], [1, 2, 9, 10], [3, 4, 7, 8, 11]]
+        labels = np.array([0, 1, 1, 2, 2, 0, 0, 2, 2, 1, 1, 2])
         params = DlrrParams(lam=0.2, beta=1.0, max_iter=40, eps=1e-12)
         out = []
-        for order in (blocks, blocks[::-1]):
-            part = BlockPartition(order, 12)
-            L, E, trace, _ = solve(x, part, params)
+        for ids in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+            L, E, trace, _ = solve(x, np.take(ids, labels), params)
             out.append((L, E))
-        np.testing.assert_array_equal(out[0][0], out[1][0])
-        np.testing.assert_array_equal(out[0][1], out[1][1])
+        for L, E in out[1:]:
+            np.testing.assert_array_equal(L, out[0][0])
+            np.testing.assert_array_equal(E, out[0][1])
 
     def test_repeat_runs_are_bitwise_identical(self):
         rng = np.random.default_rng(29)
         x = rng.standard_normal((5, 9))
-        part = BlockPartition([[0, 1, 2, 3], [4, 5, 6, 7, 8]], 9)
+        labels = np.repeat([0, 1], [4, 5])
         params = DlrrParams(lam=0.2, beta=0.5, max_iter=30, eps=1e-12)
-        first = solve(x, part, params)
-        second = solve(x, part, params)
+        first = solve(x, labels, params)
+        second = solve(x, labels, params)
         np.testing.assert_array_equal(first[0], second[0])
         np.testing.assert_array_equal(first[1], second[1])
         assert first[2].objective == second[2].objective
@@ -415,18 +452,18 @@ class TestSolve:
     def test_unconverged_reports_flag(self):
         rng = np.random.default_rng(37)
         x = rng.standard_normal((6, 8))
-        part = single_block(8)
-        L, E, trace, converged = solve(x, part, DlrrParams(lam=0.2, max_iter=3))
+        labels = single_block(8)
+        L, E, trace, converged = solve(x, labels, DlrrParams(lam=0.2, max_iter=3))
         assert not converged
         assert trace.iterations == 3
         assert np.isfinite(L).all() and np.isfinite(E).all()
 
     def test_bitwise_equal_to_plain_iteration(self, four_block_instance):
-        x, part, lam = four_block_instance
+        x, labels, lam = four_block_instance
         # mu0 = 0.1 keeps L, E and the J subgradient nonzero from the start.
         params = DlrrParams(lam=lam, beta=1.0, mu0=0.1, max_iter=30, eps=1e-30)
-        L, E, trace, _ = solve(x, part, params)
-        L_ref, E_ref, objectives = reference_block_dlrr(x, part, params, 30)
+        L, E, trace, _ = solve(x, labels, params)
+        L_ref, E_ref, objectives = reference_block_dlrr(x, labels, params, 30)
         assert trace.iterations == 30
         assert L.any() and E.any()
         assert np.array_equal(L, L_ref) and np.array_equal(E, E_ref)
@@ -436,11 +473,11 @@ class TestSolve:
     def test_within_1e_10_of_all_svd_iteration(self, four_block_instance, monkeypatch):
         # From the cold start: zero shortcuts first, then the Gram SVT once J
         # is well conditioned.
-        x, part, lam = four_block_instance
+        x, labels, lam = four_block_instance
         n = 150
         params = DlrrParams(lam=lam, beta=1.0, max_iter=n, eps=1e-30)
-        flags, iterates = solve_recording_gram(x, part, params, monkeypatch)
-        reference = reference_all_svd(x, part, params, n)
+        flags, iterates = solve_recording_gram(x, labels, params, monkeypatch)
+        reference = reference_all_svd(x, labels, params, n)
         assert len(iterates) == n and sum(any(f) for f in flags) >= n // 3
         worst = max(
             max(np.max(np.abs(l_got - l_ref)), np.max(np.abs(e_got - e_ref)))
@@ -453,10 +490,10 @@ class TestSolve:
     def test_gram_svt_only_after_j_took_the_gram_path(self, four_block_instance, monkeypatch, beta, mu0):
         # Never on a solve's first iteration (J = 0 has no Gram factor) and
         # never at beta = 0 (J is not factored), so criterion 2 stays exact.
-        x, part, lam = four_block_instance
+        x, labels, lam = four_block_instance
         params = DlrrParams(lam=lam, beta=beta, mu0=mu0, max_iter=100, eps=1e-30)
-        flags, _ = solve_recording_gram(x, part, params, monkeypatch)
-        assert len(flags) == 100 and all(len(f) == len(part.block_columns) for f in flags)
+        flags, _ = solve_recording_gram(x, labels, params, monkeypatch)
+        assert len(flags) == 100 and all(len(f) == 4 for f in flags)
         assert not any(flags[0])
         if beta == 0.0:
             assert not any(any(f) for f in flags)
@@ -464,7 +501,7 @@ class TestSolve:
             assert any(any(f) for f in flags)
 
     def test_one_svd_per_block_and_j_per_iteration(self, four_block_instance, monkeypatch):
-        x, part, lam = four_block_instance
+        x, labels, lam = four_block_instance
         calls = {"thin_svd": 0, "singular_values": 0}
 
         def counted(name):
@@ -479,35 +516,35 @@ class TestSolve:
         for name in calls:
             monkeypatch.setattr(spdlrr.linalg, name, counted(name))
         params = DlrrParams(lam=lam, beta=1.0, mu0=0.1, max_iter=25, eps=1e-30)
-        _, _, trace, _ = solve(x, part, params)
+        _, _, trace, _ = solve(x, labels, params)
         n = trace.iterations
         assert n == 25 and np.isfinite(trace.objective).all()
-        assert calls["thin_svd"] <= n * (len(part.block_columns) + 1) + 1
+        assert calls["thin_svd"] <= n * (4 + 1) + 1
         assert calls["singular_values"] == 0
 
     def test_factorization_fields_match_fresh_ones(self, four_block_instance):
         # From the cold start: J = 0 first, then J by SVD, then by Gram.
-        x, part, lam = four_block_instance
+        x, labels, lam = four_block_instance
         regimes = []
 
         def check(state):
             sub, norm, gram = subgradient_with_norm(state.J)
             assert np.array_equal(state.J_sub, sub) and state.J_norm == norm and state.J_gram == gram
-            fresh = sum(nuclear_norm(state.L[:, cols]) for cols in part.block_columns)
+            fresh = sum(nuclear_norm(state.L[:, cols]) for cols in reference_blocks(labels))
             assert abs(state.L_norm - fresh) <= 1e-12 * max(1.0, fresh)
             regimes.append((bool(state.J.any()), gram))
 
-        solve(x, part, DlrrParams(lam=lam, beta=1.0, max_iter=150, eps=1e-30), callback=check)
+        solve(x, labels, DlrrParams(lam=lam, beta=1.0, max_iter=150, eps=1e-30), callback=check)
         assert len(regimes) == 150
         assert {(False, False), (True, False), (True, True)} <= set(regimes)
 
     def test_beta_zero_leaves_j_unfactored(self, four_block_instance):
-        x, part, lam = four_block_instance
+        x, labels, lam = four_block_instance
 
         def check(state):
             assert state.J_norm == 0.0 and state.J_gram is False
 
-        solve(x, part, DlrrParams(lam=lam, beta=0.0, max_iter=50, eps=1e-30), callback=check)
+        solve(x, labels, DlrrParams(lam=lam, beta=0.0, max_iter=50, eps=1e-30), callback=check)
 
     def test_trace_lengths_match_iterations(self, rpca_result):
         trace = rpca_result["trace"]
@@ -518,7 +555,7 @@ class TestSolve:
 class TestDivergence:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_residual_raises(self, four_block_instance, monkeypatch, value):
-        x, part, lam = four_block_instance
+        x, labels, lam = four_block_instance
         real_update_E = spdlrr.solver.update_E
 
         def corrupted(state, x, lam):
@@ -529,15 +566,15 @@ class TestDivergence:
 
         monkeypatch.setattr(spdlrr.solver, "update_E", corrupted)
         with pytest.raises(SolverDiverged, match="iteration 3"):
-            solve(x, part, DlrrParams(lam=lam, max_iter=10, eps=1e-30))
+            solve(x, labels, DlrrParams(lam=lam, max_iter=10, eps=1e-30))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_multiplier_fails_the_next_block_svd(self, four_block_instance, value):
-        x, part, lam = four_block_instance
+        x, labels, lam = four_block_instance
 
         def corrupt(state):
             if state.iteration == 2:
                 state.Y1[0, 12] = value  # a column of block 1
 
         with pytest.raises(SvdFailure, match="block 1: non-finite"):
-            solve(x, part, DlrrParams(lam=lam, max_iter=10, eps=1e-30), callback=corrupt)
+            solve(x, labels, DlrrParams(lam=lam, max_iter=10, eps=1e-30), callback=corrupt)
