@@ -7,6 +7,9 @@ training pixels; predictions are produced for every pixel, labeled or not.
 """
 
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +18,12 @@ from .errors import DegenerateInput
 
 DEFAULT_KNN_K = 5
 _PREDICT_CHUNK = 4096
+# Threads that classify row chunks: the caller and a pool of the rest, one
+# per CPU this process may run on (macOS has no sched_getaffinity).
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:
+    _WORKERS = os.cpu_count() or 1
 
 
 @dataclass
@@ -83,14 +92,50 @@ def _sq_distances(rows, ref):
     return np.add(np.subtract(sq_rows, d2, out=d2), np.sum(ref**2, axis=1), out=d2)
 
 
+def _each_chunk(n_rows, fn):
+    """Call fn(start) once for the first row of every _PREDICT_CHUNK-row
+    chunk of n_rows rows; fn must write only its own chunk's rows.
+
+    The calling thread and up to _WORKERS - 1 pool threads take chunk starts
+    from one queue.  Results do not depend on which thread ran a chunk: the
+    chunks and each chunk's arithmetic are those of a serial loop, and numpy
+    releases the GIL in the matmul, partition and sorts that dominate.  The
+    pool lives only for this call, so no thread is left for os.fork to
+    strand in a child process."""
+    starts = queue.SimpleQueue()
+    for start in range(0, n_rows, _PREDICT_CHUNK):
+        starts.put(start)
+
+    def drain():
+        while True:
+            try:
+                start = starts.get_nowait()
+            except queue.Empty:
+                return
+            fn(start)
+
+    helpers = min(_WORKERS, starts.qsize()) - 1
+    if helpers < 1:
+        drain()
+        return
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+    for future in futures:
+        future.result()
+
+
 def _nearest_centroid(train_x, train_y, all_x):
     classes = np.unique(train_y)
     centroids = np.stack([train_x[train_y == c].mean(axis=0) for c in classes])
     pred = np.empty(all_x.shape[0], dtype=np.int64)
-    for start in range(0, all_x.shape[0], _PREDICT_CHUNK):
-        chunk = all_x[start : start + _PREDICT_CHUNK]
-        d2 = _sq_distances(chunk, centroids)
-        pred[start : start + chunk.shape[0]] = classes[np.argmin(d2, axis=1)]
+
+    def chunk(start):
+        rows = all_x[start : start + _PREDICT_CHUNK]
+        d2 = _sq_distances(rows, centroids)
+        pred[start : start + rows.shape[0]] = classes[np.argmin(d2, axis=1)]
+
+    _each_chunk(all_x.shape[0], chunk)
     return pred
 
 
@@ -100,10 +145,11 @@ def _knn(train_x, train_y, all_x, k):
     k = min(k, train_x.shape[0])
     n_classes = int(train_y.max())
     pred = np.empty(all_x.shape[0], dtype=np.int64)
-    for start in range(0, all_x.shape[0], _PREDICT_CHUNK):
-        chunk = all_x[start : start + _PREDICT_CHUNK]
-        n = chunk.shape[0]
-        d2 = _sq_distances(chunk, train_x)
+
+    def chunk(start):
+        rows = all_x[start : start + _PREDICT_CHUNK]
+        n = rows.shape[0]
+        d2 = _sq_distances(rows, train_x)
         # The k nearest are those within the k-th smallest distance, unless
         # a tie straddles it; there a stable sort takes equidistant
         # neighbours by training index.
@@ -117,6 +163,8 @@ def _knn(train_x, train_y, all_x, k):
         # argmax returns the first maximum, i.e. the smallest class id on ties.
         votes = votes.reshape(n, n_classes + 1)[:, 1:]
         pred[start : start + n] = np.argmax(votes, axis=1) + 1
+
+    _each_chunk(all_x.shape[0], chunk)
     return pred
 
 

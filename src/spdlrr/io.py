@@ -180,10 +180,12 @@ def load_partition(path):
 def write_raster(values, path):
     """Write an integer raster in the text format read back by load_labels
     and load_partition."""
-    values = np.asarray(values)
+    # As int64, the type load_raster reads back: tolist() then yields Python
+    # ints (bool would print as True/False).
+    values = np.asarray(values).astype(np.int64, copy=False)
     h, w = values.shape
     lines = [f"{h} {w}"]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in values)
+    lines.extend(" ".join(map(str, row)) for row in values.tolist())
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -1,3 +1,7 @@
+import os
+import signal
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -195,6 +199,78 @@ class TestSquaredDistances:
         ref = all_x[rng.integers(0, n_rows + 3, n_ref)] + rng.standard_normal((n_ref, bands))
         expected = np.sum(rows**2, axis=1)[:, None] - 2.0 * rows @ ref.T + np.sum(ref**2, axis=1)
         assert np.array_equal(classify._sq_distances(rows, ref), expected)
+
+
+def serial_nearest_centroid(train_x, train_y, all_x):
+    """The nearest-centroid rule as one loop over _PREDICT_CHUNK-row chunks
+    on the calling thread."""
+    classes = np.unique(train_y)
+    centroids = np.stack([train_x[train_y == c].mean(axis=0) for c in classes])
+    pred = np.empty(all_x.shape[0], dtype=np.int64)
+    for start in range(0, all_x.shape[0], classify._PREDICT_CHUNK):
+        rows = all_x[start : start + classify._PREDICT_CHUNK]
+        d2 = classify._sq_distances(rows, centroids)
+        pred[start : start + rows.shape[0]] = classes[np.argmin(d2, axis=1)]
+    return pred
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @given(
+        st.data(),
+        st.integers(1, 12),
+        st.integers(1, 30),
+        st.integers(1, 3),
+        st.integers(1, 7),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_predictions_equal_the_serial_reference(self, workers, data, n_train, n_all, bands, chunk):
+        # Chunks of 1..7 rows over 1..30 rows leave a short last chunk in
+        # most cases and fewer chunks than workers in some; small integer
+        # features make ties at the k-th neighbour frequent.
+        ints = st.integers(0, 3)
+        train_x = data.draw(hnp.arrays(np.float64, (n_train, bands), elements=ints))
+        all_x = data.draw(hnp.arrays(np.float64, (n_all, bands), elements=ints))
+        train_y = data.draw(hnp.arrays(np.int64, n_train, elements=st.integers(1, 4)))
+        k = data.draw(st.integers(1, n_train + 3))
+        with mock.patch.object(classify, "_PREDICT_CHUNK", chunk), mock.patch.object(
+            classify, "_WORKERS", workers
+        ):
+            knn = classify._knn(train_x, train_y, all_x, k)
+            centroid = classify._nearest_centroid(train_x, train_y, all_x)
+            expected = serial_nearest_centroid(train_x, train_y, all_x)
+        np.testing.assert_array_equal(knn, reference_knn(train_x, train_y, all_x, k))
+        np.testing.assert_array_equal(centroid, expected)
+
+    def test_a_forked_child_classifies_after_the_parent(self):
+        # bench/run.py checks outputs in os.fork()ed children: a pool that
+        # outlived its call would have no threads there, and the child would
+        # wait on it forever.
+        feats, field = blob_instance(h=6, w=10)
+        s = split(field, 0.3, seed=2)
+        kinds = ("nearest-centroid", "knn")
+        with mock.patch.object(classify, "_PREDICT_CHUNK", 16), mock.patch.object(
+            classify, "_WORKERS", 3
+        ):  # 60 pixels: 4 chunks, so the pool runs
+            threads = threading.active_count()
+            parent = [train_predict(feats, s, field, kind).labels for kind in kinds]
+            assert threading.active_count() == threads
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    child = [train_predict(feats, s, field, kind).labels for kind in kinds]
+                    code = 0 if all(map(np.array_equal, child, parent)) else 3
+                finally:
+                    os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish classifying within 60 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestEvaluate:

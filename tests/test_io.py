@@ -179,6 +179,23 @@ class TestLabelRasters:
         spio.write_raster(grid, str(path))
         np.testing.assert_array_equal(spio.load_raster(str(path)), grid)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([[0, -7, 2**63 - 1], [-(2**63), 12, 3]], dtype=np.int64),
+            np.broadcast_to(np.arange(5, dtype=np.int64), (3, 5)),  # read-only view
+            np.array([[True, False], [False, True]]),
+        ],
+        ids=["int64", "broadcast-view", "bool"],
+    )
+    def test_raster_bytes_equal_per_scalar_formatting(self, tmp_path, values):
+        h, w = values.shape
+        rows = (" ".join(str(int(v)) for v in row) for row in values)
+        expected = "\n".join([f"{h} {w}", *rows]) + "\n"
+        path = tmp_path / "r.txt"
+        spio.write_raster(values, str(path))
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_partition_round_trip(self, tmp_path):
         labels = np.array([[0, 0, 1], [2, 2, 1]])
         path = tmp_path / "part.txt"
