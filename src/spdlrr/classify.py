@@ -7,8 +7,8 @@ training pixels; predictions are produced for every pixel, labeled or not.
 """
 
 import math
+import mmap
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,11 +19,12 @@ from .errors import DegenerateInput
 DEFAULT_KNN_K = 5
 _PREDICT_CHUNK = 4096
 # Threads that classify row chunks: the caller and a pool of the rest, one
-# per CPU this process may run on (macOS has no sched_getaffinity).
+# per CPU this process may run on (macOS has no sched_getaffinity), but at
+# most two, the one size that was timed.  CPU quotas are not read.
 if hasattr(os, "sched_getaffinity"):
-    _WORKERS = len(os.sched_getaffinity(0))
+    _WORKERS = min(len(os.sched_getaffinity(0)), 2)
 else:
-    _WORKERS = os.cpu_count() or 1
+    _WORKERS = min(os.cpu_count() or 1, 2)
 
 
 @dataclass
@@ -83,44 +84,71 @@ def split(labels, percent, seed):
     return TrainSplit(train.reshape(shape), test.reshape(shape), seed, percent)
 
 
-def _sq_distances(rows, ref):
+def _fresh(buf, shape, order="C"):
+    """The first prod(shape) elements of the 1-d array buf, laid out as
+    np.empty(shape, order=order) would lay them out."""
+    return buf[: math.prod(shape)].reshape(shape, order=order)
+
+
+def _sq_distances(rows, ref, tmp=None, out=None):
     """sum(r**2) - 2 r.f + sum(f**2) for every row r and ref row f: that
-    expression's steps in its order (so to the bit), but in place."""
-    tmp = np.square(rows)
+    expression's steps in its order (so to the bit), but in place.
+
+    tmp and out, 1-d float64 arrays of at least rows.size and
+    len(rows) * len(ref) elements, hold the temporary and the result if
+    given, laid out as numpy lays out fresh ones."""
+    if tmp is not None:  # np.square allocates in rows' axis order
+        tmp = _fresh(tmp, rows.shape, "F" if abs(rows.strides[0]) < abs(rows.strides[1]) else "C")
+    if out is not None:
+        out = _fresh(out, (rows.shape[0], ref.shape[0]))
+    tmp = np.square(rows, out=tmp)
     sq_rows = tmp.sum(axis=1)[:, None]
-    d2 = np.multiply(rows, 2.0, out=tmp) @ ref.T
+    d2 = np.matmul(np.multiply(rows, 2.0, out=tmp), ref.T, out=out)
     return np.add(np.subtract(sq_rows, d2, out=d2), np.sum(ref**2, axis=1), out=d2)
 
 
-def _each_chunk(n_rows, fn):
-    """Call fn(start) once for the first row of every _PREDICT_CHUNK-row
-    chunk of n_rows rows; fn must write only its own chunk's rows.
+def _scratch(size):
+    """A float64 array of size elements in an anonymous memory map of its
+    own, which goes back to the OS when the array is freed.  Memory that a
+    pool thread takes from malloc instead stays in that thread's glibc
+    arena, up to its trim threshold (17.6 MB at Pavia extent), after the
+    call has ended.  Like numpy's own large arrays, the map asks for
+    transparent huge pages where the OS has them."""
+    buf = mmap.mmap(-1, 8 * max(1, size))
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64)
 
-    The calling thread and up to _WORKERS - 1 pool threads take chunk starts
-    from one queue.  Results do not depend on which thread ran a chunk: the
-    chunks and each chunk's arithmetic are those of a serial loop, and numpy
-    releases the GIL in the matmul, partition and sorts that dominate.  The
-    pool lives only for this call, so no thread is left for os.fork to
-    strand in a child process."""
-    starts = queue.SimpleQueue()
-    for start in range(0, n_rows, _PREDICT_CHUNK):
-        starts.put(start)
 
-    def drain():
-        while True:
-            try:
-                start = starts.get_nowait()
-            except queue.Empty:
-                return
-            fn(start)
+def _each_chunk(n_rows, widths, fn):
+    """Call fn(start, scratch) once for the first row of every
+    _PREDICT_CHUNK-row chunk of n_rows rows; fn must write only its own
+    chunk's rows.  scratch is one 1-d float64 array of a chunk's rows times
+    w elements for each w in widths, for fn's temporaries: from np.empty on
+    the caller, from _scratch on pool threads.
 
-    helpers = min(_WORKERS, starts.qsize()) - 1
-    if helpers < 1:
-        drain()
+    Up to _WORKERS threads, the caller and a pool that lives only for this
+    call (so no thread is left for os.fork to strand in a child process),
+    take every n-th chunk each.  Results do not depend on which thread ran
+    a chunk: the chunks and each chunk's arithmetic are those of a serial
+    loop, and numpy releases the GIL in the matmul, partition and sorts
+    that dominate."""
+    starts = range(0, n_rows, _PREDICT_CHUNK)
+    n = max(1, min(_WORKERS, len(starts)))
+    rows = min(n_rows, _PREDICT_CHUNK)
+
+    def run(i):
+        alloc = _scratch if i else np.empty  # the caller's malloc is reused
+        scratch = [alloc(rows * w) for w in widths]
+        for start in starts[i::n]:
+            fn(start, scratch)
+
+    if n == 1:
+        run(0)
         return
-    with ThreadPoolExecutor(helpers) as pool:
-        futures = [pool.submit(drain) for _ in range(helpers)]
-        drain()
+    with ThreadPoolExecutor(n - 1) as pool:
+        futures = [pool.submit(run, i) for i in range(1, n)]
+        run(0)
     for future in futures:
         future.result()
 
@@ -130,12 +158,12 @@ def _nearest_centroid(train_x, train_y, all_x):
     centroids = np.stack([train_x[train_y == c].mean(axis=0) for c in classes])
     pred = np.empty(all_x.shape[0], dtype=np.int64)
 
-    def chunk(start):
+    def chunk(start, scratch):
         rows = all_x[start : start + _PREDICT_CHUNK]
-        d2 = _sq_distances(rows, centroids)
+        d2 = _sq_distances(rows, centroids, *scratch)
         pred[start : start + rows.shape[0]] = classes[np.argmin(d2, axis=1)]
 
-    _each_chunk(all_x.shape[0], chunk)
+    _each_chunk(all_x.shape[0], (all_x.shape[1], len(classes)), chunk)
     return pred
 
 
@@ -146,14 +174,19 @@ def _knn(train_x, train_y, all_x, k):
     n_classes = int(train_y.max())
     pred = np.empty(all_x.shape[0], dtype=np.int64)
 
-    def chunk(start):
+    def chunk(start, scratch):
         rows = all_x[start : start + _PREDICT_CHUNK]
         n = rows.shape[0]
-        d2 = _sq_distances(rows, train_x)
+        d2 = _sq_distances(rows, train_x, scratch[0], scratch[1])
+        # np.partition(d2, k - 1, axis=1), in the buffer of the temporary
+        # that _sq_distances is done with.
+        kth = _fresh(scratch[0], d2.shape)
+        np.copyto(kth, d2)
+        kth.partition(k - 1, axis=1)
         # The k nearest are those within the k-th smallest distance, unless
         # a tie straddles it; there a stable sort takes equidistant
         # neighbours by training index.
-        near = d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        near = d2 <= kth[:, k - 1 : k]
         tied = np.flatnonzero(np.count_nonzero(near, axis=1) != k)
         near[tied] = False
         near[tied[:, None], np.argsort(d2[tied], axis=1, kind="stable")[:, :k]] = True
@@ -164,7 +197,8 @@ def _knn(train_x, train_y, all_x, k):
         votes = votes.reshape(n, n_classes + 1)[:, 1:]
         pred[start : start + n] = np.argmax(votes, axis=1) + 1
 
-    _each_chunk(all_x.shape[0], chunk)
+    n_train = train_x.shape[0]
+    _each_chunk(all_x.shape[0], (max(all_x.shape[1], n_train), n_train), chunk)
     return pred
 
 

@@ -1,5 +1,8 @@
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from unittest import mock
@@ -199,6 +202,9 @@ class TestSquaredDistances:
         ref = all_x[rng.integers(0, n_rows + 3, n_ref)] + rng.standard_normal((n_ref, bands))
         expected = np.sum(rows**2, axis=1)[:, None] - 2.0 * rows @ ref.T + np.sum(ref**2, axis=1)
         assert np.array_equal(classify._sq_distances(rows, ref), expected)
+        # In scratch larger than needed, as for the short last chunk.
+        tmp, out = classify._scratch(rows.size + 7), classify._scratch((n_rows + 2) * n_ref)
+        assert np.array_equal(classify._sq_distances(rows, ref, tmp, out), expected)
 
 
 def serial_nearest_centroid(train_x, train_y, all_x):
@@ -241,6 +247,43 @@ class TestWorkerCount:
             expected = serial_nearest_centroid(train_x, train_y, all_x)
         np.testing.assert_array_equal(knn, reference_knn(train_x, train_y, all_x, k))
         np.testing.assert_array_equal(centroid, expected)
+
+    def test_outputs_equal_with_two_blas_threads(self):
+        """A fresh process, so that numpy loads with 2 BLAS threads (this
+        suite pins 1): the chunk threads then call a multi-threaded BLAS at
+        the same time.  Three full-size chunks, so the pool runs."""
+        script = textwrap.dedent(
+            """
+            from unittest import mock
+            import numpy as np
+            from spdlrr import classify
+            rng = np.random.default_rng(5)
+            all_x = rng.standard_normal((103, 3 * classify._PREDICT_CHUNK - 700)).T
+            train_x = all_x[rng.choice(all_x.shape[0], 212, replace=False)]
+            train_y = rng.integers(1, 10, 212)
+            d2 = np.empty((all_x.shape[0], 212))
+            def chunk(start, scratch):
+                rows = all_x[start : start + classify._PREDICT_CHUNK]
+                d2[start : start + len(rows)] = classify._sq_distances(rows, train_x, *scratch)
+            outputs = set()
+            for workers in (1, 2, 3):
+                with mock.patch.object(classify, "_WORKERS", workers):
+                    classify._each_chunk(all_x.shape[0], (103, 212), chunk)
+                    knn = classify._knn(train_x, train_y, all_x, 5)
+                    centroid = classify._nearest_centroid(train_x, train_y, all_x)
+                outputs.add(d2.tobytes() + knn.tobytes() + centroid.tobytes())
+            print(len(outputs))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(classify.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "2"
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
 
     def test_a_forked_child_classifies_after_the_parent(self):
         # bench/run.py checks outputs in os.fork()ed children: a pool that
