@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
+from .linalg import all_finite
 
 
 @dataclass
@@ -28,7 +29,7 @@ class HsiCube:
                 f"pixel matrix of shape {self.x.shape} does not match "
                 f"{self.height}x{self.width} image"
             )
-        if not np.isfinite(self.x).all():
+        if not all_finite(self.x):
             raise ValueError("cube entries must be finite")
 
     @property

@@ -16,6 +16,7 @@ import numpy as np
 from .classify import LabelField
 from .cube import HsiCube
 from .errors import DegenerateInput, FormatError, NonFiniteData
+from .linalg import all_finite
 from .superpixel import SuperpixelPartition, first_appearance_ids
 
 MANIFEST_KEYS = {"height", "width", "bands", "dtype", "layout", "data_path"}
@@ -105,15 +106,19 @@ def load_cube(manifest_path):
             f"{data_path}: raw size {actual} does not match {b}x{h}x{w} f32 ({expected})"
         )
     raw = np.fromfile(data_path, dtype="<f4")
-    if not np.isfinite(raw).all():
+    if not all_finite(raw):
         raise NonFiniteData(f"{data_path}: NaN or Inf entries")
     return HsiCube(h, w, raw.reshape(b, h * w).astype(np.float64))
 
 
 def write_cube(cube, manifest_path):
     """Write a cube as raw f32le BSQ plus its manifest; the raw file sits
-    next to the manifest, named after it with a .raw suffix."""
+    next to the manifest, named after it with a .raw suffix.  A manifest
+    path that ends in .raw itself raises ValueError before anything is
+    written."""
     data_filename = os.path.splitext(os.path.basename(manifest_path))[0] + ".raw"
+    if data_filename == os.path.basename(manifest_path):
+        raise ValueError(f"{manifest_path}: the manifest would overwrite its own .raw payload")
     data_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), data_filename)
     payload = np.ascontiguousarray(cube.x, dtype="<f4").tobytes()
     _atomic_write_bytes(data_path, payload)

@@ -20,6 +20,12 @@ def soft_threshold(x, eps):
     return np.sign(x) * np.maximum(np.abs(x) - eps, 0.0)
 
 
+def all_finite(a):
+    """Whether every entry of a is finite, with no a-sized temporary: a NaN
+    makes the min and max NaN, and an infinity is one of them."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def thin_svd(a):
     """Thin SVD (U, s, Vt) with s non-increasing.
 
@@ -27,7 +33,7 @@ def thin_svd(a):
     with SvdFailure; a NaN or infinite entry raises it at once.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+    if not all_finite(a):
         raise SvdFailure(f"non-finite entries in a {a.shape} matrix")
     try:
         return np.linalg.svd(a, full_matrices=False)

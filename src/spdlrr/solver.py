@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverDiverged, SvdFailure
-from .linalg import max_norm, soft_threshold, subgradient_with_norm, svt_with_norm
+from .linalg import all_finite, max_norm, soft_threshold, subgradient_with_norm, svt_with_norm
 from .linalg import nuclear_norm, nuclear_subgradient, svt  # noqa: F401  (for bench/tracing.py)
 
 
@@ -224,7 +224,7 @@ def solve(x, labels, params, callback=None):
     beta > 0; the objective reuses them.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
+    if not all_finite(x):
         raise ValueError("x must be finite")
     if np.size(labels) != x.shape[1]:
         raise ValueError(f"need one block id per column of x: {np.size(labels)} for {x.shape[1]}")

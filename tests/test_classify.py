@@ -202,9 +202,6 @@ class TestSquaredDistances:
         ref = all_x[rng.integers(0, n_rows + 3, n_ref)] + rng.standard_normal((n_ref, bands))
         expected = np.sum(rows**2, axis=1)[:, None] - 2.0 * rows @ ref.T + np.sum(ref**2, axis=1)
         assert np.array_equal(classify._sq_distances(rows, ref), expected)
-        # In scratch larger than needed, as for the short last chunk.
-        tmp, out = classify._scratch(rows.size + 7), classify._scratch((n_rows + 2) * n_ref)
-        assert np.array_equal(classify._sq_distances(rows, ref, tmp, out), expected)
 
 
 def serial_nearest_centroid(train_x, train_y, all_x):
@@ -262,13 +259,13 @@ class TestWorkerCount:
             train_x = all_x[rng.choice(all_x.shape[0], 212, replace=False)]
             train_y = rng.integers(1, 10, 212)
             d2 = np.empty((all_x.shape[0], 212))
-            def chunk(start, scratch):
+            def chunk(start):
                 rows = all_x[start : start + classify._PREDICT_CHUNK]
-                d2[start : start + len(rows)] = classify._sq_distances(rows, train_x, *scratch)
+                d2[start : start + len(rows)] = classify._sq_distances(rows, train_x)
             outputs = set()
             for workers in (1, 2, 3):
                 with mock.patch.object(classify, "_WORKERS", workers):
-                    classify._each_chunk(all_x.shape[0], (103, 212), chunk)
+                    classify._each_chunk(all_x.shape[0], chunk)
                     knn = classify._knn(train_x, train_y, all_x, 5)
                     centroid = classify._nearest_centroid(train_x, train_y, all_x)
                 outputs.add(d2.tobytes() + knn.tobytes() + centroid.tobytes())
@@ -284,6 +281,26 @@ class TestWorkerCount:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "1"
+
+    @pytest.mark.parametrize("kind", ["nearest-centroid", "knn"])
+    def test_a_failing_chunk_is_reported(self, kind):
+        feats, field = blob_instance(h=6, w=10)
+        s = split(field, 0.3, seed=2)
+        caller = threading.get_ident()
+        sq_distances = classify._sq_distances
+
+        def failing(rows, ref):
+            if threading.get_ident() != caller:
+                raise MemoryError("chunk on the pool thread")
+            return sq_distances(rows, ref)
+
+        with mock.patch.object(classify, "_PREDICT_CHUNK", 16), mock.patch.object(
+            classify, "_WORKERS", 2
+        ), mock.patch.object(classify, "_sq_distances", failing):
+            threads = threading.active_count()
+            with pytest.raises(MemoryError, match="pool thread"):
+                train_predict(feats, s, field, kind)  # 60 pixels: 4 chunks
+            assert threading.active_count() == threads
 
     def test_a_forked_child_classifies_after_the_parent(self):
         # bench/run.py checks outputs in os.fork()ed children: a pool that

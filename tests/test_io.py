@@ -111,6 +111,12 @@ class TestCubeRoundTrip:
         with pytest.raises(FormatError, match="bare file name"):
             spio.load_cube(str(home / "cube.json"))
 
+    def test_manifest_named_like_its_payload_rejected(self, tmp_path):
+        # The payload would be written to scene.raw, then the manifest over it.
+        with pytest.raises(ValueError, match="overwrite its own .raw payload"):
+            spio.write_cube(HsiCube(1, 2, np.ones((1, 2))), str(tmp_path / "scene.raw"))
+        assert os.listdir(tmp_path) == []
+
     def test_no_temp_files_left_behind(self, tmp_path):
         spio.write_cube(HsiCube(1, 2, np.ones((1, 2))), str(tmp_path / "c.json"))
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdlrr import SvdFailure, linalg
+from spdlrr import DlrrParams, HsiCube, NonFiniteData, SvdFailure, linalg, solve
+from spdlrr import io as spio
 from spdlrr.linalg import (
+    all_finite,
     max_norm,
     nuclear_norm,
     nuclear_subgradient,
@@ -507,3 +509,31 @@ class TestNonFinite:
 
     def test_empty_matrix(self):
         assert thin_svd(np.zeros((0, 4)))[1].size == 0
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_every_caller_rejects_a_non_finite_end_entry(self, tmp_path, where, value):
+        # Each caller keeps its own error type and message.
+        x = random_matrix(3, 3, 4)
+        x.flat[where] = value
+        manifest = tmp_path / "cube.json"
+        spio.write_cube(HsiCube(2, 2, np.ones((3, 4))), str(manifest))
+        (tmp_path / "cube.raw").write_bytes(x.astype("<f4").tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not all_finite(x) and not all_finite(x.astype(np.float32))
+            with pytest.raises(SvdFailure, match="non-finite"):
+                thin_svd(x)
+            with pytest.raises(ValueError, match="cube entries must be finite"):
+                HsiCube(2, 2, x)
+            with pytest.raises(ValueError, match="x must be finite"):
+                solve(x, np.zeros(4, dtype=np.int64), DlrrParams())
+            with pytest.raises(NonFiniteData, match="NaN or Inf"):
+                spio.load_cube(str(manifest))
+
+    def test_finite_and_empty_arrays_pass(self):
+        assert all_finite(np.zeros((0, 3)))
+        assert all_finite(np.array([[-np.finfo(float).max, np.finfo(float).max]]))
+        assert all_finite(random_matrix(4, 3, 4))
