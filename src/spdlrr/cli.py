@@ -5,8 +5,9 @@ superpixel raster), segment (emit a superpixel raster), classify (the full
 pipeline), and metrics (score a predictions raster against ground truth).
 
 A --config file supplies defaults for the flags of the same name; flags win.
-Exit codes: 0 success, 1 usage error, 2 data/format error or a solve whose
-iterates turned NaN or infinite, 3 non-converged solve under --strict.
+Exit codes: 0 success, 1 usage error, 2 data/format error, a solve whose
+iterates turned NaN or infinite, or out of memory, 3 non-converged solve
+under --strict.
 """
 
 import argparse
@@ -229,6 +230,9 @@ def cli_main(argv):
         return 3
     except (SpdlrrError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

@@ -71,8 +71,11 @@ def run(cube, labels, config):
     refined partitions and solver traces, the final per-pixel predictions,
     and the metrics on the test pixels of split(labels,
     config.split_percent, config.seed).  A non-converged solve is recorded
-    in `converged` and the loop continues.
+    in `converged` and the loop continues.  A label raster whose shape is
+    not the cube's raises ValueError before any work.
     """
+    if labels.shape != (cube.height, cube.width):
+        raise ValueError("label raster is %dx%d, cube is %dx%d" % (*labels.shape, cube.height, cube.width))
     cube = normalize(cube)
     tsplit = split(labels, config.split_percent, config.seed)
     working = cube

@@ -156,13 +156,11 @@ def update_L_blocks(state, x, blocks):
         state.L[:, cols] = block
         total += norm
     state.L_norm = total
-    return state.L
 
 
 def update_E(state, x, lam):
     """Elementwise shrink of D = X - L + Y1/mu at level lam/mu."""
     state.E = soft_threshold(x - state.L + state.Y1 / state.mu, lam / state.mu)
-    return state.E
 
 
 def update_J(state, beta):
@@ -176,7 +174,6 @@ def update_J(state, beta):
         state.J = (beta / state.mu) * state.J_sub - state.Y2 / state.mu + state.L
         state.J_sub = None  # frees the old subgradient before the new J is factored
         state.J_sub, state.J_norm, state.J_gram = subgradient_with_norm(state.J)
-    return state.J
 
 
 def update_multipliers(state, r1, r2, rho, mu_max):
@@ -206,24 +203,40 @@ def lagrangian_value(state, r1, r2, params):
     return float(val)
 
 
-def solve(x, labels, params, callback=None):
-    """Run the alternating closed-form updates from the all-zeros start.
+def step(state, x, blocks, params):
+    """One iteration in place on `state`, over `blocks` (column_blocks):
+    all block L_i updates, then E, then J, then the two constraint
+    residuals X - L - E and J - L, formed once.  Their max norms are checked
+    first (NaN or Inf raises SolverDiverged); then the objective and the
+    multiplier step read the same arrays.  Returns the trace row (r1 max
+    norm, r2 max norm, objective, mu the iteration ran with).  An iteration
+    takes at most one factorization per block (none for a block thresholded
+    to zero; Gram or SVD, see update_L_blocks), plus at most one of J (in
+    update_J) when beta > 0; the objective reuses them."""
+    state.iteration += 1
+    update_L_blocks(state, x, blocks)
+    update_E(state, x, params.lam)
+    update_J(state, params.beta)
+    r1, r2 = x - state.L - state.E, state.J - state.L
+    n1, n2 = max_norm(r1), max_norm(r2)
+    if not np.isfinite(n1 + n2):
+        raise SolverDiverged(f"iteration {state.iteration}: residuals r1={n1}, r2={n2}")
+    row = (n1, n2, lagrangian_value(state, r1, r2, params), state.mu)
+    update_multipliers(state, r1, r2, params.rho, params.mu_max)
+    return row
 
-    `labels` holds one block id per column of x (see column_blocks), e.g.
-    a superpixel raster; malformed ids raise ValueError.
 
-    Per iteration: all block L_i updates, then E, then J, then the two
-    constraint residuals X - L - E and J - L, formed once.  Their max norms
-    are checked first (NaN or Inf raises SolverDiverged); then the objective
-    and the multiplier step read the same arrays, and the max norms are the
-    convergence test (both <= eps).  Returns (L, E, trace, converged); when
-    max_iter is exhausted the last iterate is returned with converged=False.
-    `callback(state)` fires after each iteration.  An iteration takes at most
-    one factorization per block (none for a block thresholded to zero; Gram
-    or SVD, see update_L_blocks), plus at most one of J (in update_J) when
-    beta > 0; the objective reuses them.
+def solve(x, labels, params):
+    """Run step from SolverState.zeros until both residual max norms are
+    <= eps or max_iter steps are done.  x must be a non-empty finite 2-D
+    matrix, and `labels` hold one block id per column of x (see
+    column_blocks), e.g. a superpixel raster; anything else raises
+    ValueError.  Returns (L, E, trace, converged); when max_iter is
+    exhausted the last iterate is returned with converged=False.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.size == 0:
+        raise ValueError(f"x must be a non-empty 2-D matrix, not shape {x.shape}")
     if not all_finite(x):
         raise ValueError("x must be finite")
     if np.size(labels) != x.shape[1]:
@@ -232,23 +245,9 @@ def solve(x, labels, params, callback=None):
 
     state = SolverState.zeros(x.shape, mu=params.mu0)
     trace = SolveTrace()
-    converged = False
-    for it in range(params.max_iter):
-        state.iteration = it + 1
-        update_L_blocks(state, x, blocks)
-        update_E(state, x, params.lam)
-        update_J(state, params.beta)
-        r1 = x - state.L - state.E
-        r2 = state.J - state.L
-        n1, n2 = max_norm(r1), max_norm(r2)
-        if not np.isfinite(n1 + n2):
-            raise SolverDiverged(f"iteration {state.iteration}: residuals r1={n1}, r2={n2}")
-        trace.append(n1, n2, lagrangian_value(state, r1, r2, params), state.mu)
-        update_multipliers(state, r1, r2, params.rho, params.mu_max)
-        del r1, r2  # not held through the next iteration's updates
-        if callback is not None:
-            callback(state)
+    for _ in range(params.max_iter):
+        n1, n2, objective, mu = step(state, x, blocks, params)
+        trace.append(n1, n2, objective, mu)
         if n1 <= params.eps and n2 <= params.eps:
-            converged = True
-            break
-    return state.L, state.E, trace, converged
+            return state.L, state.E, trace, True
+    return state.L, state.E, trace, False

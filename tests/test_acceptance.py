@@ -21,7 +21,7 @@ from spdlrr import io as spio
 from spdlrr.cli import cli_main
 from spdlrr.superpixel import SuperpixelPartition
 
-from test_solver import reference_blocks, reference_three_term_ialm
+from test_solver import reference_blocks, reference_three_term_ialm, steps
 from test_superpixel import assert_partition_invariants
 
 
@@ -52,13 +52,7 @@ def test_criterion_2_cross_oracle_block_equivalence(four_block_instance):
     x, labels, lam = four_block_instance
     n_iter = 30
     params = DlrrParams(lam=lam, beta=0.0, max_iter=n_iter, eps=1e-30)
-    recorded = []
-    solve(
-        x,
-        labels,
-        params,
-        callback=lambda st: recorded.append((st.L.copy(), st.E.copy())),
-    )
+    recorded = [(st.L.copy(), st.E.copy()) for st, _ in steps(x, labels, params)]
     assert len(recorded) == n_iter
     worst = 0.0
     for k, cols in enumerate(reference_blocks(labels)):

@@ -187,9 +187,8 @@ class TestExitCodes:
         real_update_E = solver.update_E
 
         def corrupted(state, x, lam):
-            E = real_update_E(state, x, lam)
-            E[0, 0] = value
-            return E
+            real_update_E(state, x, lam)
+            state.E[0, 0] = value
 
         monkeypatch.setattr(solver, "update_E", corrupted)
         spio.write_raster(np.zeros((12, 12), int), str(demo_dir / "part.txt"))
@@ -201,6 +200,33 @@ class TestExitCodes:
         assert rc == 2
         assert "iteration 1: residuals" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("shape", [(12, 13), (13, 12), (16, 9), (10, 10)], ids="{0[0]}x{0[1]}".format)
+    def test_label_raster_of_another_shape_is_exit_two(self, demo_dir, capsys, shape):
+        _, labels = two_class_cube(height=shape[0], width=shape[1], seed=0)
+        spio.write_raster(labels.labels, str(demo_dir / "truth.txt"))
+        out = demo_dir / "out"
+        assert cli_main(classify_args(demo_dir, "out")) == 2
+        assert "error: label raster is %dx%d, cube is 12x12" % shape in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["classify", "decompose", "segment"])
+    def test_out_of_memory_is_exit_two(self, demo_dir, capsys, monkeypatch, command):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 9.9 GiB")
+
+        monkeypatch.setattr(spio, "load_cube", no_memory)
+        spio.write_raster(np.zeros((12, 12), int), str(demo_dir / "part.txt"))
+        before = sorted(os.listdir(demo_dir))
+        argv = {
+            "classify": classify_args(demo_dir, "out"),
+            "decompose": ["decompose", "--cube", str(demo_dir / "cube.json"), "--partition",
+                          str(demo_dir / "part.txt"), "--out-dir", str(demo_dir / "out")],
+            "segment": ["segment", "--cube", str(demo_dir / "cube.json"), "--out", str(demo_dir / "out")],
+        }[command]
+        assert cli_main(argv) == 2
+        assert "error: out of memory: Unable to allocate 9.9 GiB" in capsys.readouterr().err
+        assert sorted(os.listdir(demo_dir)) == before
 
     @pytest.mark.parametrize("flag", ["--rho", "--eps", "--lambda", "--beta"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -59,6 +59,18 @@ class TestConfig:
 
 
 class TestRun:
+    @pytest.mark.parametrize("shape", [(12, 13), (13, 12), (16, 9), (10, 10)], ids="{0[0]}x{0[1]}".format)
+    def test_label_raster_of_another_shape_fails_before_any_work(self, monkeypatch, shape):
+        cube, _ = two_class_cube(seed=0)
+        _, labels = two_class_cube(height=shape[0], width=shape[1], seed=0)
+
+        def no_work(*args):
+            raise AssertionError("normalized the cube")
+
+        monkeypatch.setattr(pipeline_mod, "normalize", no_work)
+        with pytest.raises(ValueError, match="label raster is %dx%d, cube is 12x12" % shape):
+            run(cube, labels, pipeline_config(1.0))
+
     def test_degenerate_singleton_superpixels_smoke(self):
         cube, labels = two_class_cube(height=6, width=6, seed=1)
         config = PipelineConfig(

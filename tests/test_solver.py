@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from spdlrr.linalg import subgradient_with_norm, svt_with_norm
 from spdlrr.solver import (
     block_target,
     column_blocks,
+    step,
     update_E,
     update_J,
     update_L_blocks,
@@ -111,9 +114,17 @@ def reference_all_svd(x, labels, params, n_iter):
     return iterates
 
 
-def solve_recording_gram(x, labels, params, monkeypatch):
-    """solve, plus the gram= flag of every block SVT and the (L, E)
-    iterate, per iteration."""
+def steps(x, labels, params):
+    """Yield the state after each of params.max_iter steps from solve's
+    cold start, with the step's trace row."""
+    blocks = column_blocks(labels)
+    state = SolverState.zeros(x.shape, params.mu0)
+    for _ in range(params.max_iter):
+        yield state, step(state, x, blocks, params)
+
+
+def steps_recording_gram(x, labels, params, monkeypatch):
+    """The gram= flag of every block SVT and the (L, E) iterate, per step."""
     flags, per_iteration, iterates = [], [], []
     real = spdlrr.solver.svt_with_norm
 
@@ -121,13 +132,11 @@ def solve_recording_gram(x, labels, params, monkeypatch):
         flags.append(gram)
         return real(a, tau, gram=gram)
 
-    def record(state):
+    monkeypatch.setattr(spdlrr.solver, "svt_with_norm", recorded)
+    for state, _ in steps(x, labels, params):
         per_iteration.append(flags[:])
         flags.clear()
         iterates.append((state.L.copy(), state.E.copy()))
-
-    monkeypatch.setattr(spdlrr.solver, "svt_with_norm", recorded)
-    solve(x, labels, params, callback=record)
     return per_iteration, iterates
 
 
@@ -223,6 +232,14 @@ class TestMalformedIds:
         x = np.ones((4, 12))
         with pytest.raises(ValueError, match=message):
             solve(x, labels, DlrrParams(lam=0.1))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [pytest.param((12,), id="1-D"), pytest.param((4, 3, 4), id="3-D"), pytest.param((0, 4), id="0x4")],
+    )
+    def test_solve_rejects_x_that_is_not_a_non_empty_matrix(self, shape):
+        with pytest.raises(ValueError, match="non-empty 2-D matrix"):
+            solve(np.ones(shape), np.zeros(4, dtype=int), DlrrParams(lam=0.1))
 
 
 class TestUpdateLBlocks:
@@ -366,9 +383,9 @@ class TestSolve:
 
     def test_recorded_residuals_match_fresh_ones(self, four_block_instance):
         x, labels, lam = four_block_instance
-        fresh = []
-        record = lambda s: fresh.append((max_norm(x - s.L - s.E), max_norm(s.J - s.L)))
-        _, _, trace, _ = solve(x, labels, DlrrParams(lam=lam, max_iter=30, eps=1e-30), callback=record)
+        params = DlrrParams(lam=lam, max_iter=30, eps=1e-30)
+        fresh = [(max_norm(x - s.L - s.E), max_norm(s.J - s.L)) for s, _ in steps(x, labels, params)]
+        _, _, trace, _ = solve(x, labels, params)
         assert len(fresh) == trace.iterations == 30
         assert fresh == list(zip(trace.r1, trace.r2))
 
@@ -430,13 +447,7 @@ class TestSolve:
         rng = np.random.default_rng(31)
         x = rng.standard_normal((20, 30))
         params = DlrrParams(lam=1 / np.sqrt(30), beta=0.0, max_iter=40, eps=1e-30)
-        recorded = []
-        solve(
-            x,
-            single_block(30),
-            params,
-            callback=lambda st: recorded.append((st.L.copy(), st.E.copy())),
-        )
+        recorded = [(st.L.copy(), st.E.copy()) for st, _ in steps(x, single_block(30), params)]
         reference = reference_three_term_ialm(
             x, params.lam, params.mu0, params.rho, params.mu_max, 40
         )
@@ -476,7 +487,7 @@ class TestSolve:
         x, labels, lam = four_block_instance
         n = 150
         params = DlrrParams(lam=lam, beta=1.0, max_iter=n, eps=1e-30)
-        flags, iterates = solve_recording_gram(x, labels, params, monkeypatch)
+        flags, iterates = steps_recording_gram(x, labels, params, monkeypatch)
         reference = reference_all_svd(x, labels, params, n)
         assert len(iterates) == n and sum(any(f) for f in flags) >= n // 3
         worst = max(
@@ -492,7 +503,7 @@ class TestSolve:
         # never at beta = 0 (J is not factored), so criterion 2 stays exact.
         x, labels, lam = four_block_instance
         params = DlrrParams(lam=lam, beta=beta, mu0=mu0, max_iter=100, eps=1e-30)
-        flags, _ = solve_recording_gram(x, labels, params, monkeypatch)
+        flags, _ = steps_recording_gram(x, labels, params, monkeypatch)
         assert len(flags) == 100 and all(len(f) == 4 for f in flags)
         assert not any(flags[0])
         if beta == 0.0:
@@ -534,17 +545,16 @@ class TestSolve:
             assert abs(state.L_norm - fresh) <= 1e-12 * max(1.0, fresh)
             regimes.append((bool(state.J.any()), gram))
 
-        solve(x, labels, DlrrParams(lam=lam, beta=1.0, max_iter=150, eps=1e-30), callback=check)
+        for state, _ in steps(x, labels, DlrrParams(lam=lam, beta=1.0, max_iter=150, eps=1e-30)):
+            check(state)
         assert len(regimes) == 150
         assert {(False, False), (True, False), (True, True)} <= set(regimes)
 
     def test_beta_zero_leaves_j_unfactored(self, four_block_instance):
         x, labels, lam = four_block_instance
 
-        def check(state):
+        for state, _ in steps(x, labels, DlrrParams(lam=lam, beta=0.0, max_iter=50, eps=1e-30)):
             assert state.J_norm == 0.0 and state.J_gram is False
-
-        solve(x, labels, DlrrParams(lam=lam, beta=0.0, max_iter=50, eps=1e-30), callback=check)
 
     def test_trace_lengths_match_iterations(self, rpca_result):
         trace = rpca_result["trace"]
@@ -559,10 +569,9 @@ class TestDivergence:
         real_update_E = spdlrr.solver.update_E
 
         def corrupted(state, x, lam):
-            E = real_update_E(state, x, lam)
+            real_update_E(state, x, lam)
             if state.iteration == 3:
-                E[0, 0] = value
-            return E
+                state.E[0, 0] = value
 
         monkeypatch.setattr(spdlrr.solver, "update_E", corrupted)
         with pytest.raises(SolverDiverged, match="iteration 3"):
@@ -572,9 +581,39 @@ class TestDivergence:
     def test_non_finite_multiplier_fails_the_next_block_svd(self, four_block_instance, value):
         x, labels, lam = four_block_instance
 
-        def corrupt(state):
-            if state.iteration == 2:
-                state.Y1[0, 12] = value  # a column of block 1
-
         with pytest.raises(SvdFailure, match="block 1: non-finite"):
-            solve(x, labels, DlrrParams(lam=lam, max_iter=10, eps=1e-30), callback=corrupt)
+            for state, _ in steps(x, labels, DlrrParams(lam=lam, max_iter=10, eps=1e-30)):
+                if state.iteration == 2:
+                    state.Y1[0, 12] = value  # a column of block 1
+
+
+class TestStep:
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_loop_equals_solve_bit_for_bit(self, four_block_instance, beta):
+        x, labels, lam = four_block_instance
+        params = DlrrParams(lam=lam, beta=beta, max_iter=150, eps=1e-30)
+        L, E, trace, _ = solve(x, labels, params)
+        rows, regimes = [], set()
+        for state, row in steps(x, labels, params):
+            rows.append(row)
+            regimes.add((bool(state.J.any()), state.J_gram))
+        assert state.iteration == trace.iterations == 150
+        assert np.array_equal(state.L, L) and np.array_equal(state.E, E)
+        assert rows == list(zip(trace.r1, trace.r2, trace.objective, trace.mu))
+        if beta == 1.0:  # J = 0, then J by SVD, then by Gram
+            assert {(False, False), (True, False), (True, True)} <= regimes
+
+    def test_deepcopy_warm_start_continues_the_solve(self, four_block_instance):
+        x, labels, lam = four_block_instance
+        n, m = 60, 40
+        params = DlrrParams(lam=lam, beta=1.0, max_iter=n + m, eps=1e-30)
+        L, E, trace, _ = solve(x, labels, params)
+        blocks = column_blocks(labels)
+        state = SolverState.zeros(x.shape, params.mu0)
+        for _ in range(n):
+            step(state, x, blocks, params)
+        warm = copy.deepcopy(state)
+        rows = [step(warm, x, blocks, params) for _ in range(m)]
+        assert warm.iteration == n + m and state.iteration == n
+        assert np.array_equal(warm.L, L) and np.array_equal(warm.E, E)
+        assert rows == list(zip(trace.r1, trace.r2, trace.objective, trace.mu))[n:]
