@@ -28,13 +28,7 @@ from .linalg import (
 )
 from .pipeline import PipelineConfig, PipelineResult, run
 from .solver import DlrrParams, SolveTrace, SolverState, solve
-from .superpixel import (
-    SuperpixelPartition,
-    class_ratios,
-    project_base_image,
-    refine,
-    segment,
-)
+from .superpixel import SuperpixelPartition, project_base_image, refine, segment
 
 __version__ = "0.1.0"
 
@@ -55,7 +49,6 @@ __all__ = [
     "SuperpixelPartition",
     "SvdFailure",
     "TrainSplit",
-    "class_ratios",
     "evaluate",
     "max_norm",
     "metrics_from_confusion",

@@ -1,9 +1,8 @@
 """Pixel classifiers and classification accuracy metrics.
 
-Classifiers are pluggable: the built-ins are a nearest-centroid rule and a
-k-nearest-neighbour vote, and any callable (train_x, train_y, all_x) ->
-predicted labels can be passed in their place.  Training uses the split's
-training pixels; predictions are produced for every pixel, labeled or not.
+A classifier is named by its CLASSIFIERS key: a nearest-centroid rule or a
+k-nearest-neighbour vote.  Training uses the split's training pixels;
+predictions are produced for every pixel, labeled or not.
 """
 
 import math
@@ -171,8 +170,8 @@ CLASSIFIERS = {"nearest-centroid": lambda x, y, a, k: _nearest_centroid(x, y, a)
 
 
 def check_classifier(kind):
-    """Raise ValueError unless kind is a callable or a CLASSIFIERS name."""
-    if not callable(kind) and kind not in CLASSIFIERS:
+    """Raise ValueError unless kind is a CLASSIFIERS name."""
+    if kind not in CLASSIFIERS:
         raise ValueError(f"unknown classifier kind {kind!r}")
 
 
@@ -180,9 +179,8 @@ def train_predict(features, tsplit, labels, kind="nearest-centroid", k=DEFAULT_K
     """Train on the split's training pixels and predict a class for every
     pixel.
 
-    `features` is the bands x pixels matrix; `kind` names a built-in
-    (CLASSIFIERS: "nearest-centroid" or "knn") or is a callable
-    (train_x, train_y, all_x) -> labels operating on pixels-as-rows.
+    `features` is the bands x pixels matrix; `kind` is a CLASSIFIERS name,
+    "nearest-centroid" or "knn".
     """
     check_classifier(kind)
     all_x = np.asarray(features, dtype=np.float64).T
@@ -194,11 +192,7 @@ def train_predict(features, tsplit, labels, kind="nearest-centroid", k=DEFAULT_K
     for c in range(1, labels.n_classes + 1):
         if not (train_y == c).any():
             raise DegenerateInput(f"class {c} has no training pixels")
-    train_x = all_x[train_idx]
-    if callable(kind):
-        pred = np.asarray(kind(train_x, train_y, all_x), dtype=np.int64)
-    else:
-        pred = CLASSIFIERS[kind](train_x, train_y, all_x, k)
+    pred = CLASSIFIERS[kind](all_x[train_idx], train_y, all_x, k)
     return LabelField(pred.reshape(labels.shape))
 
 

@@ -177,9 +177,7 @@ def load_labels(path):
 def load_partition(path):
     """Read a superpixel raster; ids are re-densified to 0..S-1 in order of
     first appearance."""
-    grid = load_raster(path)
-    dense, mapping = first_appearance_ids(grid)
-    return SuperpixelPartition(dense, len(mapping))
+    return SuperpixelPartition(first_appearance_ids(load_raster(path))[0])
 
 
 def write_raster(values, path):

@@ -29,16 +29,20 @@ class SuperpixelPartition:
     """Per-pixel superpixel ids, contiguous 0..count-1."""
 
     labels: np.ndarray
-    count: int
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
 
+    @property
+    def count(self):
+        """One more than the largest id: the number of superpixels."""
+        return int(self.labels.max()) + 1
+
     def validate(self):
-        """Check coverage, id contiguity, non-emptiness, and 4-connectivity."""
-        if self.labels.min() < 0 or self.labels.max() >= self.count:
+        """Check id contiguity, non-emptiness, and 4-connectivity."""
+        if self.labels.min() < 0:
             raise ValueError("superpixel ids out of range")
-        sizes = np.bincount(self.labels.ravel(), minlength=self.count)
+        sizes = np.bincount(self.labels.ravel())
         if (sizes == 0).any():
             raise ValueError("superpixel ids must be contiguous and non-empty")
         for sid in range(self.count):
@@ -104,7 +108,9 @@ def _kmeans_sweeps(values, mask, centers, step):
     half = max(1, int(math.ceil(2.0 * step)))
     comp2 = (COMPACTNESS / step) ** 2
     labels = np.full((h, w), -1, dtype=np.int64)
-    for _ in range(KMEANS_SWEEPS):
+    for sweep in range(KMEANS_SWEEPS):
+        if sweep:
+            centers = _recenter(values, mask, labels, centers)
         dist = np.full((h, w), np.inf)
         labels.fill(-1)
         for k in range(centers.shape[0]):
@@ -122,7 +128,6 @@ def _kmeans_sweeps(values, mask, centers, step):
             dist[r0:r1, c0:c1][better] = d2[better]
             labels[r0:r1, c0:c1][better] = k
         _assign_orphan_windows(values, mask, labels, centers, comp2)
-        centers = _recenter(values, mask, labels, centers)
     return labels
 
 
@@ -241,10 +246,10 @@ def _enforce_connectivity(labels, mask):
 def _slic(values, mask, target):
     """SLIC-style superpixels over the masked pixels of a scalar image.
 
-    Returns (labels, count) with labels -1 outside mask and contiguous ids
-    0..count-1 inside.  Seed centers are laid on a grid over the full window
-    and centers that attract no masked pixel are dropped.  target is at most
-    the number of masked pixels (segment and refine ensure it).
+    Returns labels, -1 outside mask and contiguous ids 0..count-1 inside.
+    Seed centers are laid on a grid over the full window and centers that
+    attract no masked pixel are dropped.  target is at most the number of
+    masked pixels (segment and refine ensure it).
     """
     h, w = values.shape
     rows, cols = _grid_shape(h, w, target)
@@ -253,8 +258,8 @@ def _slic(values, mask, target):
     labels = _kmeans_sweeps(values, mask, centers, step)
     labels[mask] = first_appearance_ids(labels[mask])[0]
     labels = _enforce_connectivity(labels, mask)
-    labels[mask], mapping = first_appearance_ids(labels[mask])
-    return labels, len(mapping)
+    labels[mask] = first_appearance_ids(labels[mask])[0]
+    return labels
 
 
 def segment(base, target_count, seed=0):
@@ -269,23 +274,7 @@ def segment(base, target_count, seed=0):
         raise DegenerateInput("target_count must be at least 1")
     if target_count > h * w:
         raise DegenerateInput("target_count exceeds the pixel count")
-    labels, count = _slic(base, np.ones((h, w), dtype=bool), target_count)
-    return SuperpixelPartition(labels, count)
-
-
-def class_ratios(hist):
-    """Per-class pixel fractions of one superpixel.
-
-    Returns (ratios, max_ratio, dominant_class) where classes are numbered
-    from 1 and ties go to the lowest class id.
-    """
-    hist = np.asarray(hist, dtype=np.float64)
-    total = hist.sum()
-    if total < 1:
-        raise DegenerateInput("histogram has no pixels")
-    ratios = hist / total
-    top = int(np.argmax(ratios))
-    return ratios, float(ratios[top]), top + 1
+    return SuperpixelPartition(_slic(base, np.ones((h, w), dtype=bool), target_count))
 
 
 def _enclosing_square(rs, cs, h, w):
@@ -327,13 +316,12 @@ def refine(partition, predictions, delta, m_split, base, seed=0):
     n_classes = int(preds.max())
     out = np.full((h, w), -1, dtype=np.int64)
     next_id = 0
-    boxes = ndimage.find_objects(partition.labels + 1, max_label=partition.count)
-    for sid, box in enumerate(boxes):
-        box = box or np.s_[0:0, 0:0]  # an empty id fails in class_ratios
+    for sid, box in enumerate(ndimage.find_objects(partition.labels + 1)):
+        if box is None:
+            raise DegenerateInput(f"superpixel {sid} has no pixels")
         member = partition.labels[box] == sid
         hist = np.bincount(preds[box][member], minlength=n_classes + 1)[1:]
-        _, max_ratio, _ = class_ratios(hist)
-        if max_ratio >= delta:
+        if hist.max() / hist.sum() >= delta:
             out[box][member] = next_id
             next_id += 1
             continue
@@ -346,7 +334,7 @@ def refine(partition, predictions, delta, m_split, base, seed=0):
         r0, r1, c0, c1 = _enclosing_square(rs, cs, h, w)
         window = np.s_[r0 : r1 + 1, c0 : c1 + 1]
         inside = partition.labels[window] == sid
-        sub_labels, n_sub = _slic(base[window], inside, m_split)
+        sub_labels = _slic(base[window], inside, m_split)
         out[window][inside] = sub_labels[inside] + next_id
-        next_id += n_sub
-    return SuperpixelPartition(out, next_id)
+        next_id += int(sub_labels.max()) + 1
+    return SuperpixelPartition(out)

@@ -136,7 +136,7 @@ def test_criterion_6_superpixel_refinement_properties():
     # refine never merges and the constructed half/half superpixel splits
     # into exactly two parts at delta=0.7, m_split=2.
     quad = (np.arange(12)[:, None] >= 6) * 2 + (np.arange(12)[None, :] >= 6)
-    parent = SuperpixelPartition(quad.astype(int), 4)
+    parent = SuperpixelPartition(quad.astype(int))
     preds = np.ones((12, 12), int)
     preds[:6, 3:6] = 2
     refined = refine(parent, LabelField(preds), 0.7, 2, np.full((12, 12), 0.5))

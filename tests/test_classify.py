@@ -124,19 +124,13 @@ class TestTrainPredict:
         pred = train_predict(feats, s, field, "nearest-centroid")
         assert (pred.labels >= 1).all()
 
-    def test_callable_plug_in(self):
-        feats, field = blob_instance()
-        s = split(field, 0.3, seed=2)
-        pred = train_predict(
-            feats, s, field, lambda tx, ty, ax: np.full(ax.shape[0], 2)
-        )
-        assert (pred.labels == 2).all()
-
     def test_unknown_kind_rejected(self):
         feats, field = blob_instance()
         s = split(field, 0.3, seed=2)
-        with pytest.raises(ValueError):
-            train_predict(feats, s, field, "svm")
+        # A classifier is a CLASSIFIERS name; a callable is not one.
+        for kind in ("svm", lambda tx, ty, ax: np.full(ax.shape[0], 2)):
+            with pytest.raises(ValueError, match="unknown classifier kind"):
+                train_predict(feats, s, field, kind)
 
     @given(st.integers(0, 200))
     @settings(max_examples=20, deadline=None)

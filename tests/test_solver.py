@@ -28,6 +28,7 @@ from spdlrr.solver import (
     update_L_blocks,
     update_multipliers,
 )
+from spdlrr.synthetic import two_class_cube
 
 from conftest import single_block
 
@@ -617,3 +618,31 @@ class TestStep:
         assert warm.iteration == n + m and state.iteration == n
         assert np.array_equal(warm.L, L) and np.array_equal(warm.E, E)
         assert rows == list(zip(trace.r1, trace.r2, trace.objective, trace.mu))[n:]
+
+
+def restored_share(width, bands, lam, beta):
+    """||L||_F / ||X||_F of one block: the first class of a two-class
+    scene, all in one superpixel."""
+    cube, _ = two_class_cube(height=1, width=2 * width, bands=bands, seed=0)
+    x = cube.x[:, :width]
+    L, _, _, converged = solve(x, np.zeros(width, dtype=np.int64), DlrrParams(lam=lam, beta=beta))
+    assert converged
+    return np.linalg.norm(L) / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("bands, lam", [(6, 0.05), (20, 0.1), (103, 0.01)])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+class TestLambdaFloor:
+    """A block of n pixels in d bands restores to exactly zero once
+    lam * sqrt(d * n) < 1: then lam * ||X_i||_1 < ||X_i||_*, so E takes the
+    whole block.  The floor 1 / (lam^2 d) is 67 px for the 6-band demo at
+    lam = 0.05, 5 px for 20 bands at lam = 0.1 and 97 px for the
+    pavia_university preset (103 bands, lam = 0.01)."""
+
+    def test_zero_at_a_quarter_of_the_floor(self, bands, lam, beta):
+        # Measured: 0 exactly in all six cases.
+        assert restored_share(round(0.25 / (lam**2 * bands)), bands, lam, beta) < 1e-3
+
+    def test_not_zero_at_four_times_the_floor(self, bands, lam, beta):
+        # Measured: 0.950 to 1.201.
+        assert restored_share(round(4.0 / (lam**2 * bands)), bands, lam, beta) > 0.5

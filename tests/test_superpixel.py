@@ -10,7 +10,6 @@ from spdlrr import (
     DegenerateInput,
     HsiCube,
     LabelField,
-    class_ratios,
     project_base_image,
     refine,
     segment,
@@ -24,7 +23,7 @@ FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 def quadrant_partition(size=12):
     half = size // 2
     labels = (np.arange(size)[:, None] >= half) * 2 + (np.arange(size)[None, :] >= half)
-    return SuperpixelPartition(labels.astype(int), 4)
+    return SuperpixelPartition(labels.astype(int))
 
 
 def smooth_image(seed, h, w):
@@ -60,7 +59,6 @@ class TestValidate:
         "edit, count, message",
         [
             ("negative", 4, "out of range"),
-            ("too-large", 4, "out of range"),
             ("empty", 5, "contiguous and non-empty"),
             ("disconnected", 4, "superpixel 0 is not 4-connected"),
         ],
@@ -69,12 +67,14 @@ class TestValidate:
         labels = quadrant_partition().labels.copy()
         if edit == "negative":
             labels[0, 0] = -1
-        elif edit == "too-large":
-            labels[0, 0] = 4
+        elif edit == "empty":
+            labels[labels == 3] = 4  # id 3 has no pixels
         elif edit == "disconnected":
             labels[11, 11] = 0  # a lone pixel of 0 inside quadrant 3
+        part = SuperpixelPartition(labels)
+        assert part.count == count  # one more than the largest id
         with pytest.raises(ValueError, match=message):
-            SuperpixelPartition(labels, count).validate()
+            part.validate()
 
 
 class TestProjectBaseImage:
@@ -158,33 +158,6 @@ class TestSegment:
         assert target / 2 <= part.count <= 2 * target
 
 
-class TestClassRatios:
-    def test_basic(self):
-        ratios, mr, cls = class_ratios([3, 1, 0])
-        np.testing.assert_allclose(ratios, [0.75, 0.25, 0.0])
-        assert mr == 0.75 and cls == 1
-
-    def test_tie_prefers_lowest_class(self):
-        _, mr, cls = class_ratios([2, 2])
-        assert mr == 0.5 and cls == 1
-
-    def test_single_class(self):
-        _, mr, cls = class_ratios([0, 0, 7])
-        assert mr == 1.0 and cls == 3
-
-    def test_empty_rejected(self):
-        with pytest.raises(DegenerateInput):
-            class_ratios([0, 0, 0])
-
-    @given(st.lists(st.integers(0, 50), min_size=1, max_size=10))
-    @settings(max_examples=50)
-    def test_ratios_sum_to_one(self, counts):
-        if sum(counts) == 0:
-            counts[0] = 1
-        ratios, _, _ = class_ratios(counts)
-        assert abs(ratios.sum() - 1.0) <= 1e-12
-
-
 class TestRefine:
     def test_clean_predictions_leave_partition_unchanged(self):
         part = quadrant_partition()
@@ -228,16 +201,17 @@ class TestRefine:
             refine(part, LabelField(preds), 0.7, 2, np.full((12, 12), 0.5))
 
     def test_empty_superpixel_id_rejected(self):
-        part = SuperpixelPartition(quadrant_partition().labels, 5)  # id 4 has no pixels
+        labels = quadrant_partition().labels
+        part = SuperpixelPartition(np.where(labels == 3, 4, labels))  # id 3 has no pixels
         preds = LabelField(np.ones((12, 12), int))
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DegenerateInput, match="superpixel 3 has no pixels"):
             refine(part, preds, 0.7, 2, np.full((12, 12), 0.5))
 
     def test_small_noisy_superpixel_becomes_singletons(self):
         labels = np.zeros((2, 3), int)
         labels[:, 1] = 1
         labels[:, 2] = 2
-        part = SuperpixelPartition(labels, 3)
+        part = SuperpixelPartition(labels)
         preds = np.ones((2, 3), int)
         preds[0, 0] = 2  # superpixel 0 (two pixels) splits half and half
         out = refine(part, LabelField(preds), 0.7, 4, np.full((2, 3), 0.5))
@@ -270,8 +244,7 @@ class TestRefine:
         for sid in kept:
             member = part.labels == sid
             hist = np.bincount(preds.labels[member], minlength=3)[1:]
-            _, mr, _ = class_ratios(hist)
-            assert mr >= 0.6
+            assert hist.max() / hist.sum() >= 0.6
 
 
 def reference_first_appearance(values, keep_zero):
@@ -392,11 +365,11 @@ def reference_refine(partition, predictions, delta, m_split, base):
         with mock.patch.object(
             superpixel, "_enforce_connectivity", reference_enforce_connectivity
         ):
-            sub_labels, n_sub = superpixel._slic(base[window], member[window], m_split)
+            sub_labels = superpixel._slic(base[window], member[window], m_split)
         inside = member[window]
         out[window][inside] = sub_labels[inside] + next_id
-        next_id += n_sub
-    return SuperpixelPartition(out, next_id)
+        next_id += len(np.unique(sub_labels[inside]))
+    return SuperpixelPartition(out)
 
 
 def kmeans_labels(img, mask, target):
