@@ -27,13 +27,6 @@ from .superpixel import first_appearance_ids, project_base_image, segment
 
 _PRESET_DIR = os.path.join(os.path.dirname(__file__), "configs")
 
-# Config keys that set DlrrParams and PipelineConfig fields, and the keys
-# whose field has another name.
-_SOLVER_KEYS = ("lambda", "beta", "mu0", "rho", "mu_max", "eps", "max_iter")
-_PIPELINE_KEYS = ("t_max", "superpixels", "delta", "m_split", "classifier", "knn_k", "percent")
-_FIELD_NAMES = {"lambda": "lam", "superpixels": "initial_superpixels", "percent": "split_percent"}
-
-
 class UsageError(Exception):
     pass
 
@@ -51,23 +44,24 @@ def _build_parser():
     parser = _Parser(prog="spdlrr", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def add_options(p, keys):
-        """--config, then one flag per config key: '--' + key with '_' as
-        '-', typed as in the config file."""
+    def add_options(p, *keys):
+        """--config, then one flag per config key, first mention first:
+        '--' + key with '_' as '-', typed as in the config file."""
         p.add_argument("--config", help="config file path or preset name")
-        for key in keys:
+        for key in dict.fromkeys(keys):
             p.add_argument("--" + key.replace("_", "-"), type=spio.CONFIG_KEYS[key])
 
+    pipeline_keys, solver_keys = (spio.config_fields(c) for c in (PipelineConfig, DlrrParams))
     p = sub.add_parser("decompose", help="low-rank + sparse split over given superpixels")
-    add_options(p, ["cube", "partition", "out_dir", *_SOLVER_KEYS])
+    add_options(p, "cube", "partition", "out_dir", *solver_keys)
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("segment", help="superpixel segmentation raster")
-    add_options(p, ["cube", "superpixels", "seed"])
+    add_options(p, "cube", "superpixels", "seed")
     p.add_argument("--out")
 
     p = sub.add_parser("classify", help="full restoration + classification pipeline")
-    add_options(p, ["cube", "labels", "out_dir", "seed", *_PIPELINE_KEYS, *_SOLVER_KEYS])
+    add_options(p, "cube", "labels", "out_dir", "seed", *pipeline_keys, *solver_keys)
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("metrics", help="score a predictions raster against truth")
@@ -103,13 +97,14 @@ def _option(args, config, key, required=False):
     return value
 
 
-def _from_options(cls, keys, args, config, **kwargs):
-    """cls built from the options among `keys` that a flag or the config
-    supplies; its own defaults fill the rest."""
-    for key in keys:
-        value = _option(args, config, key)
+def _from_options(cls, args, config, **kwargs):
+    """cls built from those of its config fields that the subcommand has a
+    flag for and that a flag or the config supplies; its own defaults fill
+    the rest."""
+    for key, f in spio.config_fields(cls).items():
+        value = _option(args, config, key) if hasattr(args, key) else None
         if value is not None:
-            kwargs[_FIELD_NAMES.get(key, key)] = value
+            kwargs[f.name] = value
     return cls(**kwargs)
 
 
@@ -118,7 +113,7 @@ def _cmd_decompose(args):
     cube_path = _option(args, config, "cube", required=True)
     part_path = _option(args, config, "partition", required=True)
     out_dir = _option(args, config, "out_dir", required=True)
-    params = _from_options(DlrrParams, _SOLVER_KEYS, args, config)
+    params = _from_options(DlrrParams, args, config)
     cube = spio.load_cube(cube_path)
     partition = spio.load_partition(part_path)
     if partition.labels.shape != (cube.height, cube.width):
@@ -141,7 +136,7 @@ def _cmd_segment(args):
     out_path = args.out
     if out_path is None:
         raise UsageError("missing required option --out")
-    defaults = _from_options(PipelineConfig, ("superpixels", "seed"), args, config)
+    defaults = _from_options(PipelineConfig, args, config)
     cube = spio.load_cube(cube_path)
     base = project_base_image(cube)
     partition = segment(base, defaults.initial_superpixels, defaults.seed)
@@ -157,10 +152,8 @@ def _cmd_classify(args):
     cube_path = _option(args, config, "cube", required=True)
     labels_path = _option(args, config, "labels", required=True)
     out_dir = _option(args, config, "out_dir", required=True)
-    dlrr = _from_options(DlrrParams, _SOLVER_KEYS, args, config)
-    pipe_config = _from_options(
-        PipelineConfig, _PIPELINE_KEYS, args, config, dlrr=dlrr, seed=args.seed
-    )
+    dlrr = _from_options(DlrrParams, args, config)
+    pipe_config = _from_options(PipelineConfig, args, config, dlrr=dlrr)
     cube = spio.load_cube(cube_path)
     labels, mapping = spio.load_labels(labels_path)
     spio.check_map_classes(labels.n_classes)  # fail before the run writes anything

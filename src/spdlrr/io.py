@@ -5,6 +5,7 @@ All writers go through a temp-file-then-rename step so partially written
 files are never observed.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -17,30 +18,28 @@ from .classify import LabelField
 from .cube import HsiCube
 from .errors import DegenerateInput, FormatError, NonFiniteData
 from .linalg import all_finite
+from .pipeline import PipelineConfig
+from .solver import DlrrParams
 from .superpixel import SuperpixelPartition, first_appearance_ids
 
 MANIFEST_KEYS = {"height", "width", "bands", "dtype", "layout", "data_path"}
 
+# Config names of the dataclass fields that go by a shorter name.
+_CONFIG_NAMES = {"lam": "lambda", "initial_superpixels": "superpixels", "split_percent": "percent"}
+
+
+def config_fields(cls):
+    """{config key: field} for every int, float and str field of the
+    dataclass cls, in field order."""
+    fields = dataclasses.fields(cls)
+    return {_CONFIG_NAMES.get(f.name, f.name): f for f in fields if f.type in (int, float, str)}
+
+
+# Each config key with its type: the input and output paths, then the
+# scalar fields of the run's two dataclasses.
 CONFIG_KEYS = {
-    "cube": str,
-    "labels": str,
-    "partition": str,
-    "out_dir": str,
-    "seed": int,
-    "t_max": int,
-    "superpixels": int,
-    "delta": float,
-    "m_split": int,
-    "lambda": float,
-    "beta": float,
-    "mu0": float,
-    "rho": float,
-    "mu_max": float,
-    "eps": float,
-    "max_iter": int,
-    "classifier": str,
-    "knn_k": int,
-    "percent": float,
+    **dict.fromkeys(("cube", "labels", "partition", "out_dir"), str),
+    **{k: f.type for c in (PipelineConfig, DlrrParams) for k, f in config_fields(c).items()},
 }
 
 
