@@ -22,10 +22,12 @@ def main():
     parser.add_argument("--height", type=int, default=12)
     parser.add_argument("--width", type=int, default=12)
     parser.add_argument("--bands", type=int, default=6)
+    parser.add_argument("--classes", type=int, default=2, help="vertical class stripes")
     args = parser.parse_args()
 
     cube, labels = two_class_cube(
-        height=args.height, width=args.width, bands=args.bands, seed=args.seed
+        height=args.height, width=args.width, bands=args.bands, seed=args.seed,
+        classes=args.classes,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     spio.write_cube(cube, os.path.join(args.out_dir, "cube.json"))

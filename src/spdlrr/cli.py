@@ -7,7 +7,9 @@ pipeline), and metrics (score a predictions raster against ground truth).
 A --config file supplies defaults for the flags of the same name; flags win.
 Exit codes: 0 success, 1 usage error, 2 data/format error, a solve whose
 iterates turned NaN or infinite, or out of memory, 3 non-converged solve
-under --strict.
+under --strict, 4 a classify run whose L is zero in every block under
+--strict.  A block of L that is exactly zero (under the lambda floor)
+prints one warning line.
 """
 
 import argparse
@@ -31,8 +33,8 @@ class UsageError(Exception):
     pass
 
 
-class NotConvergedStrict(Exception):
-    pass
+class StrictFailure(Exception):
+    """A --strict check failed; args are (message, exit code)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,6 +110,21 @@ def _from_options(cls, args, config, **kwargs):
     return cls(**kwargs)
 
 
+def _check_solve(args, restored, block_ids, converged):
+    """Warn on stderr when blocks of the restoration are exactly zero, and
+    under --strict fail on a non-converged solve; returns whether L is zero
+    in every block.  block_ids holds each pixel's block, 0..S-1."""
+    ids = block_ids.ravel()
+    zero = np.bincount(ids, weights=restored.any(axis=0)) == 0
+    if zero.any():
+        share = zero[ids].mean()
+        print(f"warning: L is zero in {zero.sum()} of {zero.size} blocks ({share:.1%} of pixels): "
+              "blocks under the lambda floor, see README Limits", file=sys.stderr)
+    if args.strict and not converged:
+        raise StrictFailure("solver did not converge", 3)
+    return zero.all()
+
+
 def _cmd_decompose(args):
     config = _resolve_config(args.config)
     cube_path = _option(args, config, "cube", required=True)
@@ -125,8 +142,7 @@ def _cmd_decompose(args):
     spio.write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
     status = "converged" if converged else "did not converge"
     print(f"decompose: {status} after {trace.iterations} iterations")
-    if args.strict and not converged:
-        raise NotConvergedStrict()
+    _check_solve(args, restored, partition.labels, converged)
     return 0
 
 
@@ -175,8 +191,10 @@ def _cmd_classify(args):
         spio.write_trace_csv(trace, os.path.join(out_dir, f"trace_{t}.csv"))
     m = result.metrics
     print(f"classify: oa={m.oa:.4f} aa={m.aa:.4f} kappa={m.kappa:.4f}")
-    if args.strict and not all(result.converged):
-        raise NotConvergedStrict()
+    last = result.partitions[-1].labels
+    all_zero = _check_solve(args, result.l_final, last, all(result.converged))
+    if args.strict and all_zero:  # then every pixel got the same class
+        raise StrictFailure("L is zero in every block", 4)
     return 0
 
 
@@ -218,9 +236,10 @@ def cli_main(argv):
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except NotConvergedStrict:
-        print("solver did not converge (--strict)", file=sys.stderr)
-        return 3
+    except StrictFailure as exc:
+        message, code = exc.args
+        print(f"{message} (--strict)", file=sys.stderr)
+        return code
     except (SpdlrrError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

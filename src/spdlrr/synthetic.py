@@ -49,28 +49,32 @@ def two_subspace_matrix(
     return x, np.array(classes)
 
 
-def two_class_cube(height=12, width=12, bands=6, spike_frac=0.05, spike=0.5, seed=0):
-    """Cube whose left and right halves come from two distinct rank-2
-    spectral subspaces, plus sparse spikes.  Returns (cube, labels).
+def two_class_cube(height=12, width=12, bands=6, spike_frac=0.05, spike=0.5, seed=0, classes=2):
+    """Cube of `classes` vertical stripes of near-equal width, each from its
+    own rank-2 spectral subspace, plus sparse spikes; the default is a left
+    and a right half.  Returns (cube, labels).
 
     Each class subspace is spanned by a bright positive base spectrum and a
     small orthogonal variation direction, mimicking reflectance data; the
     positive, nearly flat spectra keep the per-block low-rank component
-    worth retaining at moderate sparsity weights."""
+    worth retaining at moderate sparsity weights.  The first two bases are a
+    falling and a rising ramp, the others humps and waves around 0.7."""
     rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, bands)
     ramps = [np.linspace(1.0, 0.4, bands), np.linspace(0.4, 1.0, bands)]
+    ramps += [0.7 + 0.3 * np.sin(np.pi * (k - 1) * t) for k in range(2, classes)]
     n = height * width
-    cols = np.arange(n) % width
-    side = (cols >= width // 2).astype(np.int64)  # 0 = left, 1 = right
+    bounds = np.arange(1, classes) * width // classes  # first column of stripes 1, 2, ...
+    stripe = np.searchsorted(bounds, np.arange(n) % width, side="right")
     x = np.empty((bands, n))
-    for k in range(2):
+    for k in range(classes):
         base = ramps[k]
         q, _ = np.linalg.qr(
             np.column_stack([base, rng.standard_normal(bands)])
         )
         u0 = q[:, 0] * np.sign(q[0, 0] * base[0])  # keep the base direction positive
         u1 = q[:, 1]
-        idx = np.flatnonzero(side == k)
+        idx = np.flatnonzero(stripe == k)
         scale = np.linalg.norm(base)
         a = scale * rng.uniform(0.9, 1.1, size=idx.size)
         b = rng.uniform(-0.2, 0.2, size=idx.size)
@@ -78,5 +82,5 @@ def two_class_cube(height=12, width=12, bands=6, spike_frac=0.05, spike=0.5, see
     n_spikes = int(round(spike_frac * x.size))
     flat = rng.choice(x.size, size=n_spikes, replace=False)
     x.ravel()[flat] += spike * rng.choice([-1.0, 1.0], size=n_spikes)
-    labels = (side + 1).reshape(height, width)
+    labels = (stripe + 1).reshape(height, width)
     return HsiCube(height, width, x), LabelField(labels)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -390,6 +391,59 @@ class TestClassifyCommand:
         assert not (out / "trace_2.csv").exists()  # --t-max flag overrode default
 
 
+class TestLambdaFloorWarning:
+    """A block of L that is exactly zero prints one stderr line; under
+    --strict, a classify run whose L is zero in every block exits 4 (README,
+    Limits)."""
+
+    WARNING = "warning: L is zero in {} of {} blocks ({} of pixels): blocks under the lambda floor"
+
+    def preset_args(self, demo_dir, *extra):
+        return ["classify", "--config", "indian_pines", "--cube", str(demo_dir / "cube.json"),
+                "--labels", str(demo_dir / "truth.txt"), "--out-dir", str(demo_dir / "out"),
+                "--seed", "7", *extra]
+
+    def decompose(self, demo_dir, partition, *extra):
+        spio.write_raster(partition, str(demo_dir / "part.txt"))
+        return cli_main(["decompose", "--cube", str(demo_dir / "cube.json"), "--partition",
+                         str(demo_dir / "part.txt"), "--out-dir", str(demo_dir / "d"), *extra])
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_preset_on_the_demo_scene(self, demo_dir, capsys, strict):
+        rc = cli_main(self.preset_args(demo_dir, *(["--strict"] if strict else [])))
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(self.WARNING.format(66, 66, "100.0%"))
+        if strict:
+            assert (rc, lines[1:]) == (4, ["L is zero in every block (--strict)"])
+        else:
+            assert (rc, lines[1:]) == (0, [])
+        # The files are written before the exit code is chosen.
+        assert (demo_dir / "out" / "metrics.json").exists()
+
+    def test_golden_flags_print_nothing(self, demo_dir, capsys):
+        assert cli_main(classify_args(demo_dir, "out", extra=["--strict"])) == 0
+        assert capsys.readouterr().err == ""
+        assert cli_main(["segment", "--cube", str(demo_dir / "cube.json"), "--out",
+                         str(demo_dir / "p4.txt"), "--superpixels", "4"]) == 0
+        partition = spio.load_partition(str(demo_dir / "p4.txt")).labels
+        assert self.decompose(demo_dir, partition, "--lambda", str(CUBE_LAM), "--strict") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_decompose_counts_blocks_and_pixels(self, demo_dir, capsys):
+        partition = np.ones((12, 12), int)
+        partition[0, 0] = 0  # one pixel, far under the floor of 6 px at lambda = 1/6
+        assert self.decompose(demo_dir, partition, "--lambda", str(CUBE_LAM), "--strict") == 0
+        err = capsys.readouterr().err
+        assert err.startswith(self.WARNING.format(1, 2, "0.7%")) and err.count("\n") == 1
+
+    def test_decompose_all_zero_warns_but_succeeds_under_strict(self, demo_dir, capsys):
+        # 144 px against a floor of 1/(0.01**2 * 6) = 1667 px at the default
+        # lambda: X = E is the model's solution there, and decompose wrote it.
+        assert self.decompose(demo_dir, np.zeros((12, 12), int), "--strict") == 0
+        err = capsys.readouterr().err
+        assert err.startswith(self.WARNING.format(1, 1, "100.0%")) and err.count("\n") == 1
+
+
 class TestMetricsCommand:
     def test_scores_original_ids_consistently(self, tmp_path, capsys):
         truth = np.array([[0, 2, 2], [5, 5, 2]])
@@ -422,6 +476,20 @@ class TestMetricsCommand:
 
 class _Captured(Exception):
     pass
+
+
+def _other_value(f):
+    """A valid value of the config field f other than its default."""
+    if f.type is str:
+        return {"classifier": "knn"}[f.name]
+    return f.default + 1 if f.type is int else f.default * 1.5
+
+
+SCALAR_FIELDS = [
+    pytest.param(cls, key, f, id=key)
+    for cls in (PipelineConfig, DlrrParams)
+    for key, f in spio.config_fields(cls).items()
+]
 
 
 class TestDefaults:
@@ -477,3 +545,30 @@ class TestDefaults:
         )
         config = calls["run"][2]
         assert (config.dlrr.lam, config.delta) == (0.3, 0.9)
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    @pytest.mark.parametrize("cls, key, f", SCALAR_FIELDS)
+    def test_every_scalar_field_is_an_option(self, demo_dir, calls, cls, key, f, source):
+        value = _other_value(f)
+        if source == "config":
+            (demo_dir / "run.cfg").write_text(f"{key} = {value}\n")
+            option = ["--config", str(demo_dir / "run.cfg")]
+        else:
+            option = ["--" + key.replace("_", "-"), str(value)]
+        if (key, source) == ("seed", "config"):  # classify takes its seed from the flag only
+            with pytest.raises(_Captured):
+                cli_main(["segment", "--cube", str(demo_dir / "cube.json"), "--out", "s.txt", *option])
+            assert calls["segment"][2] == value
+            return
+        self.classify(demo_dir, *(["--seed", "7"] if key != "seed" else []), *option)
+        if cls is DlrrParams:
+            expected = PipelineConfig(seed=7, dlrr=DlrrParams(**{f.name: value}))
+            with pytest.raises(_Captured):
+                cli_main(
+                    ["decompose", "--cube", str(demo_dir / "cube.json"), "--partition"]
+                    + [str(demo_dir / "part.txt"), "--out-dir", str(demo_dir / "d"), *option]
+                )
+            assert calls["solve"][2] == expected.dlrr
+        else:
+            expected = dataclasses.replace(PipelineConfig(seed=7), **{f.name: value})
+        assert calls["run"][2] == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tempfile
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdlrr import DegenerateInput, FormatError, HsiCube, LabelField, NonFiniteData
+from spdlrr import DegenerateInput, DlrrParams, FormatError, HsiCube, LabelField, NonFiniteData
+from spdlrr import PipelineConfig
 from spdlrr import io as spio
 from spdlrr.cli import cli_main
 
@@ -316,6 +318,27 @@ class TestConfig:
         assert values["delta"] == 0.7
         assert values["m_split"] == 5
         assert values["percent"] == 0.05
+
+    def test_keys_are_the_paths_then_the_dataclasses_scalar_fields(self):
+        fields = [*spio.config_fields(PipelineConfig), *spio.config_fields(DlrrParams)]
+        assert list(spio.CONFIG_KEYS) == ["cube", "labels", "partition", "out_dir", *fields]
+        assert {"lambda", "superpixels", "percent"} <= set(fields)
+
+    def test_config_fields_picks_up_a_new_scalar_field(self):
+        @dataclasses.dataclass
+        class Options:
+            threads: int = 1
+            lam: float = 0.1
+            name: str = ""
+            dlrr: DlrrParams = dataclasses.field(default_factory=DlrrParams)
+            sizes: tuple = ()
+
+        fields = spio.config_fields(Options)
+        assert {key: f.name for key, f in fields.items()} == {
+            "threads": "threads",
+            "lambda": "lam",
+            "name": "name",
+        }
 
 
 VALID_RASTER = b"2 3\n1 0 2\n3 4 5\n"

@@ -33,6 +33,22 @@ class TestNormalize:
             normalize(HsiCube(1, 2, np.full((3, 2), 4.0)))
 
 
+class TestTwoClassCube:
+    @pytest.mark.parametrize("width", [12, 13, 48])
+    def test_two_classes_are_the_left_and_right_halves(self, width):
+        _, labels = two_class_cube(height=3, width=width, seed=0)
+        assert (labels.labels == np.where(np.arange(width) >= width // 2, 2, 1)).all()
+
+    def test_classes_are_vertical_stripes_with_their_own_spectra(self):
+        cube, labels = two_class_cube(height=4, width=48, bands=32, seed=0, classes=5)
+        assert (labels.labels == labels.labels[0]).all()
+        assert np.bincount(labels.labels[0]).tolist() == [0, 9, 10, 9, 10, 10]
+        flat = labels.labels.ravel()
+        means = np.array([cube.x[:, flat == c].mean(axis=1) for c in range(1, 6)])
+        gaps = np.linalg.norm(means[:, None] - means[None], axis=2)
+        assert gaps[~np.eye(5, dtype=bool)].min() > 0.5
+
+
 class TestConfig:
     @pytest.mark.parametrize("k", [0, -3])
     def test_knn_k_below_one_rejected(self, k):
