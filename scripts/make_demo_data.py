@@ -25,10 +25,13 @@ def main():
     parser.add_argument("--classes", type=int, default=2, help="vertical class stripes")
     args = parser.parse_args()
 
-    cube, labels = two_class_cube(
-        height=args.height, width=args.width, bands=args.bands, seed=args.seed,
-        classes=args.classes,
-    )
+    try:
+        cube, labels = two_class_cube(
+            height=args.height, width=args.width, bands=args.bands, seed=args.seed,
+            classes=args.classes,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     os.makedirs(args.out_dir, exist_ok=True)
     spio.write_cube(cube, os.path.join(args.out_dir, "cube.json"))
     spio.write_raster(labels.labels, os.path.join(args.out_dir, "truth.txt"))

@@ -53,19 +53,12 @@ def singular_values(a):
         return thin_svd(a)[1]
 
 
-def svt(a, tau):
-    """Singular value thresholding: soft-threshold the singular values of a.
+def svt(a, tau, gram=False):
+    """Singular value thresholding: (Z, ||Z||_*) with Z the matrix a with
+    its singular values soft-thresholded by tau, which then sum to ||Z||_*.
 
-    For tau > 0 this is the proximal map of the nuclear norm, i.e. the unique
+    For tau > 0, Z is the proximal map of the nuclear norm, i.e. the unique
     minimizer of ||Z||_* + (1 / (2 tau)) ||Z - a||_F^2; tau = 0 reproduces a.
-    """
-    return svt_with_norm(a, tau)[0]
-
-
-def svt_with_norm(a, tau, gram=False):
-    """(svt(a, tau), its nuclear norm): the thresholded singular values are
-    the singular values of the result.
-
     When ||a||_F <= tau every singular value is at most tau, so the result is
     exactly zero with norm 0.0 and nothing is factored.  With gram=True an a
     that passes the Gram gate (_gram_factor) is thresholded as
@@ -96,15 +89,6 @@ def max_norm(a):
     return float(np.max(np.abs(a)))
 
 
-def nuclear_subgradient(a):
-    """Canonical subgradient U_r V_r^T of the nuclear norm at a.
-
-    Keeps singular directions with sigma > 1e-10 * sigma_max.  At a = 0 the
-    zero matrix is returned, which lies in the subdifferential there.
-    """
-    return subgradient_with_norm(a)[0]
-
-
 def _gram_factor(a):
     """Factor a through the Gram matrix G = t t^T of its smaller side t (a,
     or a^T when a is tall): (V, B, sigma, transposed) with V the eigenvectors
@@ -132,13 +116,15 @@ def _gram_factor(a):
     return v, b, np.sqrt(np.einsum("ij,ij->i", b, b)), transposed
 
 
-def subgradient_with_norm(a):
-    """(nuclear_subgradient(a), ||a||_*, gram) from one factorization; gram
-    tells whether it was the Gram one.
+def nuclear_subgradient(a):
+    """(G, ||a||_*, gram) from one factorization of a: G = U_r V_r^T is the
+    canonical subgradient of the nuclear norm at a, and gram tells whether
+    the factorization was the Gram one.
 
-    An all-zero a gives zeros and 0.0 without one.  An a that passes the
-    Gram gate (_gram_factor) keeps every direction: V diag(1/sigma) B.
-    Otherwise one thin SVD."""
+    An all-zero a gives zeros, which lie in the subdifferential there, and
+    0.0 without one.  An a that passes the Gram gate (_gram_factor) keeps
+    every direction: V diag(1/sigma) B.  Otherwise one thin SVD, keeping
+    the directions with sigma > _RANK_TOL * sigma_max."""
     a = np.asarray(a, dtype=np.float64)
     if not a.any():
         return np.zeros_like(a), 0.0, False

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverDiverged, SvdFailure
-from .linalg import all_finite, max_norm, soft_threshold, subgradient_with_norm, svt_with_norm
-from .linalg import nuclear_norm, nuclear_subgradient, svt  # noqa: F401  (for bench/tracing.py)
+from .linalg import all_finite, max_norm, nuclear_subgradient, soft_threshold, svt
+from .linalg import nuclear_norm  # noqa: F401  (for bench/tracing.py)
 
 
 @dataclass
@@ -150,7 +150,7 @@ def update_L_blocks(state, x, blocks):
     total = 0.0
     for k, cols in enumerate(blocks):
         try:
-            block, norm = svt_with_norm(w[:, cols], tau, gram=state.J_gram)
+            block, norm = svt(w[:, cols], tau, gram=state.J_gram)
         except SvdFailure as exc:
             raise SvdFailure(f"block {k}: {exc}") from exc
         state.L[:, cols] = block
@@ -167,13 +167,13 @@ def update_J(state, beta):
     """Linearized update of the auxiliary variable: the concave global term
     is replaced by its tangent at the previous iteration's J, giving
     J = (beta/mu) * J_sub - Y2/mu + L.  For beta > 0 the new J is factored
-    once (subgradient_with_norm) into J_sub, J_norm and J_gram."""
+    once (nuclear_subgradient) into J_sub, J_norm and J_gram."""
     if beta == 0.0:
         state.J = state.L - state.Y2 / state.mu
     else:
         state.J = (beta / state.mu) * state.J_sub - state.Y2 / state.mu + state.L
         state.J_sub = None  # frees the old subgradient before the new J is factored
-        state.J_sub, state.J_norm, state.J_gram = subgradient_with_norm(state.J)
+        state.J_sub, state.J_norm, state.J_gram = nuclear_subgradient(state.J)
 
 
 def update_multipliers(state, r1, r2, rho, mu_max):

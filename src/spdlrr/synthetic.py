@@ -58,7 +58,14 @@ def two_class_cube(height=12, width=12, bands=6, spike_frac=0.05, spike=0.5, see
     small orthogonal variation direction, mimicking reflectance data; the
     positive, nearly flat spectra keep the per-block low-rank component
     worth retaining at moderate sparsity weights.  The first two bases are a
-    falling and a rising ramp, the others humps and waves around 0.7."""
+    falling and a rising ramp, the others humps and waves around 0.7.
+
+    Raises ValueError unless bands >= 2 (a rank-2 subspace) and
+    1 <= classes <= width (every stripe at least one column wide)."""
+    if bands < 2:
+        raise ValueError(f"bands must be at least 2, got {bands}")
+    if not 1 <= classes <= width:
+        raise ValueError(f"classes must be between 1 and the width {width}, got {classes}")
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 1.0, bands)
     ramps = [np.linspace(1.0, 0.4, bands), np.linspace(0.4, 1.0, bands)]

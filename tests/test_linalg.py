@@ -14,9 +14,7 @@ from spdlrr.linalg import (
     nuclear_subgradient,
     singular_values,
     soft_threshold,
-    subgradient_with_norm,
     svt,
-    svt_with_norm,
     thin_svd,
 )
 
@@ -58,26 +56,26 @@ class TestSoftThreshold:
 
 class TestSvt:
     def test_diagonal(self):
-        out = svt(np.diag([3.0, 1.0, 0.2]), 0.5)
+        out = svt(np.diag([3.0, 1.0, 0.2]), 0.5)[0]
         np.testing.assert_allclose(out, np.diag([2.5, 0.5, 0.0]), atol=1e-12)
 
     def test_zero_threshold_is_identity(self):
         a = random_matrix(0)
-        np.testing.assert_allclose(svt(a, 0.0), a, atol=1e-10)
+        np.testing.assert_allclose(svt(a, 0.0)[0], a, atol=1e-10)
 
     def test_kills_rank_one_below_threshold(self):
         rng = np.random.default_rng(1)
         u = rng.standard_normal(6)
         v = rng.standard_normal(4)
         a = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
-        np.testing.assert_allclose(svt(a, 2.0), np.zeros_like(a), atol=1e-12)
+        np.testing.assert_allclose(svt(a, 2.0)[0], np.zeros_like(a), atol=1e-12)
 
     @given(st.integers(0, 200), st.floats(min_value=0.0, max_value=10.0))
     @settings(max_examples=40, deadline=None)
     def test_never_increases_singular_values(self, seed, tau):
         a = random_matrix(seed)
         before = singular_values(a)
-        after = singular_values(svt(a, tau))
+        after = singular_values(svt(a, tau)[0])
         assert (after <= before + 1e-9).all()
 
     @given(st.integers(0, 200))
@@ -88,7 +86,7 @@ class TestSvt:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((5, 6))
         tau = 0.3
-        z = svt(a, tau)
+        z = svt(a, tau)[0]
         best = nuclear_norm(z) + np.sum((z - a) ** 2) / (2 * tau)
         for _ in range(5):
             other = z + 0.1 * rng.standard_normal(a.shape)
@@ -99,8 +97,7 @@ class TestSvt:
     @settings(max_examples=40, deadline=None)
     def test_with_norm_returns_svt_and_its_nuclear_norm(self, seed, tau):
         a = random_matrix(seed)
-        z, norm = svt_with_norm(a, tau)
-        assert np.array_equal(z, svt(a, tau))
+        z, norm = svt(a, tau)
         assert norm == pytest.approx(nuclear_norm(z), rel=1e-9, abs=1e-9)
 
 
@@ -144,18 +141,18 @@ class TestMaxNorm:
 class TestNuclearSubgradient:
     def test_positive_diagonal(self):
         np.testing.assert_allclose(
-            nuclear_subgradient(np.diag([2.0, 3.0])), np.eye(2), atol=1e-12
+            nuclear_subgradient(np.diag([2.0, 3.0]))[0], np.eye(2), atol=1e-12
         )
 
     def test_zero_matrix(self):
         np.testing.assert_allclose(
-            nuclear_subgradient(np.zeros((3, 5))), np.zeros((3, 5))
+            nuclear_subgradient(np.zeros((3, 5)))[0], np.zeros((3, 5))
         )
 
     def test_random_identities(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((20, 15))
-        g = nuclear_subgradient(a)
+        g = nuclear_subgradient(a)[0]
         assert np.linalg.norm(g, 2) <= 1.0 + 1e-8
         assert np.trace(g.T @ a) == pytest.approx(nuclear_norm(a), abs=1e-6)
 
@@ -163,7 +160,7 @@ class TestNuclearSubgradient:
     @settings(max_examples=40, deadline=None)
     def test_identities_hold_generally(self, seed):
         a = random_matrix(seed)
-        g = nuclear_subgradient(a)
+        g = nuclear_subgradient(a)[0]
         nuc = nuclear_norm(a)
         assert np.linalg.norm(g, 2) <= 1.0 + 1e-8
         assert abs(np.trace(g.T @ a) - nuc) <= 1e-6 * max(1.0, nuc)
@@ -172,12 +169,11 @@ class TestNuclearSubgradient:
     @settings(max_examples=40, deadline=None)
     def test_with_norm_matches_separate_calls(self, seed):
         a = random_matrix(seed)
-        g, norm, _ = subgradient_with_norm(a)
-        assert np.array_equal(g, nuclear_subgradient(a))
+        norm = nuclear_subgradient(a)[1]
         assert norm == pytest.approx(nuclear_norm(a), rel=1e-12)
 
     def test_with_norm_of_zero_matrix(self):
-        g, norm, gram = subgradient_with_norm(np.zeros((3, 5)))
+        g, norm, gram = nuclear_subgradient(np.zeros((3, 5)))
         assert norm == 0.0 and not g.any() and not gram
 
 
@@ -197,7 +193,7 @@ class TestThinSvd:
 
 
 def svd_subgradient(a):
-    """subgradient_with_norm by one thin SVD, as it was before the Gram
+    """nuclear_subgradient by one thin SVD, as it was before the Gram
     path: the reference for both its paths."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
@@ -227,7 +223,7 @@ def counted_subgradient(a):
     """(subgradient, norm, number of thin_svd calls it took); the Gram bit
     it returns must say whether a nonzero a was factored without an SVD."""
     with mock.patch.object(linalg, "thin_svd", wraps=linalg.thin_svd) as svd:
-        g, norm, gram = subgradient_with_norm(a)
+        g, norm, gram = nuclear_subgradient(a)
     assert gram == (a.any() and svd.call_count == 0)
     return g, norm, svd.call_count
 
@@ -304,7 +300,7 @@ class TestGramSubgradient:
         b = v.T @ t
         s = np.sqrt(np.einsum("ij,ij->i", b, b))
         b /= s[:, None]
-        g, norm, gram = subgradient_with_norm(a)
+        g, norm, gram = nuclear_subgradient(a)
         assert gram and np.array_equal(g, v @ b if t is a else b.T @ v.T)
         assert norm == float(s.sum())
 
@@ -319,12 +315,12 @@ class TestGramSubgradient:
     def test_input_is_not_modified(self):
         a = np.random.default_rng(6).standard_normal((8, 5))
         before = a.copy()
-        subgradient_with_norm(a)
+        nuclear_subgradient(a)
         assert np.array_equal(a, before)
 
 
 def svd_svt(a, tau):
-    """svt_with_norm by one thin SVD, as it was before the zero and Gram
+    """svt by one thin SVD, as it was before the zero and Gram
     paths: the reference for all three."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
@@ -354,7 +350,7 @@ class TestZeroShortcut:
             a[0, 0], a[1, 1] = 3.0, 4.0  # sigma = 4, 3: below tau
         tau = np.nextafter(5.0, 0.0) if case == "norm-just-above-tau" else 5.0
         a = a.T.copy() if tall else a
-        (z, norm), svd_calls, gram_calls = counted(svt_with_norm, a, tau, gram=gram)
+        (z, norm), svd_calls, gram_calls = counted(svt, a, tau, gram=gram)
         z_ref, norm_ref = svd_svt(a, tau)
         assert z.shape == a.shape and (z == 0).all() and norm == 0.0
         assert np.max(np.abs(z - z_ref)) <= 1e-15 * tau and abs(norm - norm_ref) <= 1e-15 * tau
@@ -370,7 +366,7 @@ class TestZeroShortcut:
     def test_tau_above_frobenius_norm(self, seed, excess, gram):
         a = random_matrix(seed)
         tau = np.linalg.norm(a) * (1.0 + 1e-9 + excess)
-        (z, norm), svd_calls, gram_calls = counted(svt_with_norm, a, tau, gram=gram)
+        (z, norm), svd_calls, gram_calls = counted(svt, a, tau, gram=gram)
         z_ref, norm_ref = svd_svt(a, tau)
         assert (svd_calls, gram_calls) == (0, 0)
         assert z.shape == a.shape and (z == 0).all() and norm == 0.0
@@ -379,13 +375,13 @@ class TestZeroShortcut:
     def test_tiny_entries_are_not_lost(self):
         # Squaring 1e-170 underflows; a scaled norm keeps ||a||_F > tau.
         a = np.diag([2e-170, 1e-170])
-        z, norm = svt_with_norm(a, 1e-170)
+        z, norm = svt(a, 1e-170)
         assert z[0, 0] == pytest.approx(1e-170) and norm == pytest.approx(1e-170)
 
     @pytest.mark.parametrize("shape", [(6, 9), (9, 6), (0, 4)])
     def test_all_zero_j_takes_no_factorization(self, shape):
         a = np.zeros(shape)
-        (g, norm, gram), svd_calls, gram_calls = counted(subgradient_with_norm, a)
+        (g, norm, gram), svd_calls, gram_calls = counted(nuclear_subgradient, a)
         g_ref, norm_ref = svd_subgradient(a) if a.size else (np.zeros(shape), 0.0)
         assert (svd_calls, gram_calls) == (0, 0)
         assert not gram and norm == 0.0 == norm_ref
@@ -408,7 +404,7 @@ class TestGramSvt:
         sigma = 10.0**log_scale * np.logspace(0.0, log_ratio, small)
         a = planted(seed, shape, sigma)
         tau = level * sigma[0]  # below sigma_max, so below ||a||_F: no zero shortcut
-        (z, norm), svd_calls, _ = counted(svt_with_norm, a, tau, gram=True)
+        (z, norm), svd_calls, _ = counted(svt, a, tau, gram=True)
         z_ref, norm_ref = svd_svt(a, tau)
         assert z.shape == a.shape and z.flags.c_contiguous
         assert np.max(np.abs(z - z_ref)) <= 1e-10
@@ -433,7 +429,7 @@ class TestGramSvt:
         else:
             a = planted(3, shape, np.linspace(1.0, 0.5, k))  # passes the gate
         kwargs = {} if case == "default" else {"gram": case != "gram-false"}
-        (z, norm), svd_calls, gram_calls = counted(svt_with_norm, a, 0.2, **kwargs)
+        (z, norm), svd_calls, gram_calls = counted(svt, a, 0.2, **kwargs)
         z_ref, norm_ref = svd_svt(a, 0.2)
         assert svd_calls == 1 and gram_calls == int(kwargs.get("gram", False))
         assert np.array_equal(z, z_ref) and norm == norm_ref
@@ -441,7 +437,7 @@ class TestGramSvt:
     @pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
     def test_just_above_floor_takes_gram_path(self, shape):
         a = planted(2, shape, floor_sigma(min(shape), 1.01))
-        (z, norm), svd_calls, _ = counted(svt_with_norm, a, 0.5, gram=True)
+        (z, norm), svd_calls, _ = counted(svt, a, 0.5, gram=True)
         z_ref, norm_ref = svd_svt(a, 0.5)
         assert svd_calls == 0
         assert np.max(np.abs(z - z_ref)) <= 1e-10
@@ -450,17 +446,17 @@ class TestGramSvt:
     def test_input_is_not_modified(self):
         a = np.random.default_rng(6).standard_normal((8, 5))
         before = a.copy()
-        svt_with_norm(a, 0.3, gram=True)
+        svt(a, 0.3, gram=True)
         assert np.array_equal(a, before)
 
 
 class TestNonFinite:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("fn", [thin_svd, subgradient_with_norm, svt_with_norm])
+    @pytest.mark.parametrize("fn", [thin_svd, nuclear_subgradient, svt])
     def test_raises_svd_failure(self, fn, value):
         a = random_matrix(8, 5, 7)
         a[2, 3] = value
-        args = (a, 0.1) if fn is svt_with_norm else (a,)
+        args = (a, 0.1) if fn is svt else (a,)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SvdFailure, match="non-finite"):
@@ -478,7 +474,7 @@ class TestNonFinite:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SvdFailure, match="non-finite"):
-                svt_with_norm(a, tau, gram=gram)
+                svt(a, tau, gram=gram)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_lone_non_finite_entry_is_not_zero(self, value):
@@ -486,7 +482,7 @@ class TestNonFinite:
         a[3, 5] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for fn in (subgradient_with_norm, lambda m: svt_with_norm(m, 1.0, gram=True)):
+            for fn in (nuclear_subgradient, lambda m: svt(m, 1.0, gram=True)):
                 with pytest.raises(SvdFailure, match="non-finite"):
                     fn(a)
 
@@ -497,8 +493,8 @@ class TestNonFinite:
         a[0, 0], a[1, 1] = 1e200, 1e199
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (z, norm), svd_calls, _ = counted(svt_with_norm, a, 1e198, gram=True)
-            g, g_norm, gram = subgradient_with_norm(a)
+            (z, norm), svd_calls, _ = counted(svt, a, 1e198, gram=True)
+            g, g_norm, gram = nuclear_subgradient(a)
         z_ref, norm_ref = svd_svt(a, 1e198)
         assert svd_calls == 1 and np.array_equal(z, z_ref) and norm == norm_ref
         assert not gram and np.array_equal(g, svd_subgradient(a)[0])

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +50,35 @@ class TestTwoClassCube:
         means = np.array([cube.x[:, flat == c].mean(axis=1) for c in range(1, 6)])
         gaps = np.linalg.norm(means[:, None] - means[None], axis=2)
         assert gaps[~np.eye(5, dtype=bool)].min() > 0.5
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"bands": 0}, "bands"),
+            ({"bands": 1}, "bands"),
+            ({"classes": 0}, "classes"),
+            ({"classes": -1}, "classes"),
+            ({"classes": 13}, "classes"),  # class 1 would get no column
+        ],
+    )
+    def test_sizes_out_of_range_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            two_class_cube(height=3, width=12, seed=0, **kwargs)
+
+    @pytest.mark.parametrize("classes", [1, 12])
+    def test_class_count_edges(self, classes):
+        cube, labels = two_class_cube(height=3, width=12, bands=2, seed=0, classes=classes)
+        assert np.isfinite(cube.x).all() and np.abs(cube.x).max() < 10.0
+        assert (labels.labels == np.arange(12) * classes // 12 + 1).all()
+
+    def test_demo_script_rejects_a_bad_size_and_writes_nothing(self, tmp_path, monkeypatch):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = os.path.join(root, "scripts", "make_demo_data.py")
+        out = tmp_path / "demo"
+        monkeypatch.setattr(sys, "argv", [script, str(out), "--classes", "0"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(script, run_name="__main__")
+        assert exc.value.code != 0 and not out.exists()
 
 
 class TestConfig:

@@ -17,8 +17,8 @@ from spdlrr import (
     nuclear_subgradient,
     soft_threshold,
     solve,
+    svt,
 )
-from spdlrr.linalg import subgradient_with_norm, svt_with_norm
 from spdlrr.solver import (
     block_target,
     column_blocks,
@@ -76,10 +76,10 @@ def reference_block_dlrr(x, labels, params, n_iter):
     for _ in range(n_iter):
         for cols in reference_blocks(labels):
             w = 0.5 * ((x[:, cols] - E[:, cols] + Y1[:, cols] / mu) + (J[:, cols] + Y2[:, cols] / mu))
-            L[:, cols] = svt_with_norm(w, 1.0 / (2.0 * mu), gram=gram)[0]
+            L[:, cols] = svt(w, 1.0 / (2.0 * mu), gram=gram)[0]
         E = soft_threshold(x - L + Y1 / mu, params.lam / mu)
-        J = (params.beta / mu) * nuclear_subgradient(J) - Y2 / mu + L
-        gram = subgradient_with_norm(J)[2]
+        J = (params.beta / mu) * nuclear_subgradient(J)[0] - Y2 / mu + L
+        gram = nuclear_subgradient(J)[2]
         r1, r2 = x - L - E, J - L
         obj = sum(nuclear_norm(L[:, cols]) for cols in reference_blocks(labels))
         obj += params.lam * np.abs(E).sum() - params.beta * nuclear_norm(J)
@@ -127,18 +127,36 @@ def steps(x, labels, params):
 def steps_recording_gram(x, labels, params, monkeypatch):
     """The gram= flag of every block SVT and the (L, E) iterate, per step."""
     flags, per_iteration, iterates = [], [], []
-    real = spdlrr.solver.svt_with_norm
+    real = spdlrr.solver.svt
 
     def recorded(a, tau, gram=False):
         flags.append(gram)
         return real(a, tau, gram=gram)
 
-    monkeypatch.setattr(spdlrr.solver, "svt_with_norm", recorded)
+    monkeypatch.setattr(spdlrr.solver, "svt", recorded)
     for state, _ in steps(x, labels, params):
         per_iteration.append(flags[:])
         flags.clear()
         iterates.append((state.L.copy(), state.E.copy()))
     return per_iteration, iterates
+
+
+def counting_calls(monkeypatch, module, names):
+    """Count the calls made to each named function of module, by name."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name))
+    return calls
 
 
 def fresh_state(shape, mu=1.0, seed=None):
@@ -279,13 +297,13 @@ class TestUpdateLBlocks:
         blocks = column_blocks(labels)
         state = fresh_state(x.shape, seed=4)
         flags = []
-        real = spdlrr.solver.svt_with_norm
+        real = spdlrr.solver.svt
 
         def recorded(a, tau, gram=False):
             flags.append(gram)
             return real(a, tau, gram=gram)
 
-        monkeypatch.setattr(spdlrr.solver, "svt_with_norm", recorded)
+        monkeypatch.setattr(spdlrr.solver, "svt", recorded)
         update_L_blocks(state, x, blocks)  # J not factored yet
         update_J(state, 1.0)
         assert state.J_gram  # a random 20x40 J passes the Gram gate
@@ -339,7 +357,7 @@ class TestUpdateJ:
     def test_diagonal_previous_j(self):
         state = fresh_state((2, 2), mu=1.0)
         state.J = np.diag([2.0, 3.0])
-        state.J_sub = nuclear_subgradient(state.J)
+        state.J_sub = nuclear_subgradient(state.J)[0]
         update_J(state, beta=1.0)
         np.testing.assert_allclose(state.J, np.eye(2), atol=1e-12)
 
@@ -514,19 +532,7 @@ class TestSolve:
 
     def test_one_svd_per_block_and_j_per_iteration(self, four_block_instance, monkeypatch):
         x, labels, lam = four_block_instance
-        calls = {"thin_svd": 0, "singular_values": 0}
-
-        def counted(name):
-            fn = getattr(spdlrr.linalg, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(spdlrr.linalg, name, counted(name))
+        calls = counting_calls(monkeypatch, spdlrr.linalg, ("thin_svd", "singular_values"))
         params = DlrrParams(lam=lam, beta=1.0, mu0=0.1, max_iter=25, eps=1e-30)
         _, _, trace, _ = solve(x, labels, params)
         n = trace.iterations
@@ -540,7 +546,7 @@ class TestSolve:
         regimes = []
 
         def check(state):
-            sub, norm, gram = subgradient_with_norm(state.J)
+            sub, norm, gram = nuclear_subgradient(state.J)
             assert np.array_equal(state.J_sub, sub) and state.J_norm == norm and state.J_gram == gram
             fresh = sum(nuclear_norm(state.L[:, cols]) for cols in reference_blocks(labels))
             assert abs(state.L_norm - fresh) <= 1e-12 * max(1.0, fresh)
@@ -556,6 +562,16 @@ class TestSolve:
 
         for state, _ in steps(x, labels, DlrrParams(lam=lam, beta=0.0, max_iter=50, eps=1e-30)):
             assert state.J_norm == 0.0 and state.J_gram is False
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_kernels_are_called_by_their_public_names(self, four_block_instance, monkeypatch, beta):
+        # The traced benchmark wraps spdlrr.solver.svt and
+        # spdlrr.solver.nuclear_subgradient; the solver must call those.
+        x, labels, lam = four_block_instance
+        calls = counting_calls(monkeypatch, spdlrr.solver, ("svt", "nuclear_subgradient"))
+        n = 20
+        assert len(list(steps(x, labels, DlrrParams(lam=lam, beta=beta, max_iter=n, eps=1e-30)))) == n
+        assert calls == {"svt": 4 * n, "nuclear_subgradient": n if beta else 0}
 
     def test_trace_lengths_match_iterations(self, rpca_result):
         trace = rpca_result["trace"]
