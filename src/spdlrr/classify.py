@@ -6,27 +6,20 @@ predictions are produced for every pixel, labeled or not.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInput
+from .linalg import _each_chunk
 
 DEFAULT_KNN_K = 5
-# Rows per chunk.  A chunk's largest temporary is its rows x training
-# pixels of float64: 1.7 MB for kNN at Pavia extent (212 training pixels).
-# glibc keeps about twice the largest freed temporary in each pool thread's
-# malloc arena after the call, so a small chunk keeps that memory small.
+# Rows per chunk of the chunk pool (linalg._each_chunk).  A chunk's
+# largest temporary is its rows x training pixels of float64: 1.7 MB for
+# kNN at Pavia extent (212 training pixels).  glibc keeps about twice the
+# largest freed temporary in each pool thread's malloc arena after the
+# call, so a small chunk keeps that memory small.
 _PREDICT_CHUNK = 1024
-# Threads that classify row chunks: the caller and a pool of the rest, one
-# per CPU this process may run on (macOS has no sched_getaffinity), but at
-# most two, the one size that was timed.  CPU quotas are not read.
-if hasattr(os, "sched_getaffinity"):
-    _WORKERS = min(len(os.sched_getaffinity(0)), 2)
-else:
-    _WORKERS = min(os.cpu_count() or 1, 2)
 
 
 @dataclass
@@ -95,44 +88,15 @@ def _sq_distances(rows, ref):
     return np.add(np.subtract(sq_rows, d2, out=d2), np.sum(ref**2, axis=1), out=d2)
 
 
-def _each_chunk(n_rows, fn):
-    """Call fn(start) once for the first row of every _PREDICT_CHUNK-row
-    chunk of n_rows rows; fn must write only its own chunk's rows.
-
-    Up to _WORKERS threads, the caller and a pool that lives only for this
-    call (so no thread is left for os.fork to strand in a child process),
-    take every n-th chunk each.  Results do not depend on which thread ran
-    a chunk: the chunks and each chunk's arithmetic are those of a serial
-    loop, and numpy releases the GIL in the matmul, partition and sorts
-    that dominate."""
-    starts = range(0, n_rows, _PREDICT_CHUNK)
-    n = max(1, min(_WORKERS, len(starts)))
-
-    def run(i):
-        for start in starts[i::n]:
-            fn(start)
-
-    if n == 1:
-        run(0)
-        return
-    with ThreadPoolExecutor(n - 1) as pool:
-        futures = [pool.submit(run, i) for i in range(1, n)]
-        run(0)
-    for future in futures:
-        future.result()
-
-
 def _nearest_centroid(train_x, train_y, all_x):
     classes = np.unique(train_y)
     centroids = np.stack([train_x[train_y == c].mean(axis=0) for c in classes])
     pred = np.empty(all_x.shape[0], dtype=np.int64)
 
-    def chunk(start):
-        rows = all_x[start : start + _PREDICT_CHUNK]
-        d2 = _sq_distances(rows, centroids)
-        pred[start : start + rows.shape[0]] = classes[np.argmin(d2, axis=1)]
+    def chunk(s):
+        pred[s] = classes[np.argmin(_sq_distances(all_x[s], centroids), axis=1)]
 
-    _each_chunk(all_x.shape[0], chunk)
+    _each_chunk(all_x.shape[0], _PREDICT_CHUNK, chunk)
     return pred
 
 
@@ -143,8 +107,8 @@ def _knn(train_x, train_y, all_x, k):
     n_classes = int(train_y.max())
     pred = np.empty(all_x.shape[0], dtype=np.int64)
 
-    def chunk(start):
-        rows = all_x[start : start + _PREDICT_CHUNK]
+    def chunk(s):
+        rows = all_x[s]
         n = rows.shape[0]
         d2 = _sq_distances(rows, train_x)
         # The k nearest are those within the k-th smallest distance, unless
@@ -159,9 +123,9 @@ def _knn(train_x, train_y, all_x, k):
         votes = np.bincount(cells.ravel(), minlength=n * (n_classes + 1))
         # argmax returns the first maximum, i.e. the smallest class id on ties.
         votes = votes.reshape(n, n_classes + 1)[:, 1:]
-        pred[start : start + n] = np.argmax(votes, axis=1) + 1
+        pred[s] = np.argmax(votes, axis=1) + 1
 
-    _each_chunk(all_x.shape[0], chunk)
+    _each_chunk(all_x.shape[0], _PREDICT_CHUNK, chunk)
     return pred
 
 

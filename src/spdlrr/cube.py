@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .linalg import all_finite
+from .linalg import _each_column_chunk, all_finite, extremes
 
 
 @dataclass
@@ -38,9 +38,16 @@ class HsiCube:
 
 
 def normalize(cube):
-    """Min-max rescale all entries of the cube into [0, 1] globally."""
-    lo = cube.x.min()
-    hi = cube.x.max()
+    """Min-max rescale all entries of the cube into [0, 1] globally:
+    (x - lo) / (hi - lo), chunk by chunk in place of one new array."""
+    x = cube.x
+    lo, hi = extremes(x)
     if hi == lo:
         raise DegenerateInput("cannot normalize a constant cube")
-    return HsiCube(cube.height, cube.width, (cube.x - lo) / (hi - lo))
+    out = np.empty_like(x)
+
+    def chunk(s):
+        np.divide(np.subtract(x[:, s], lo, out=out[:, s]), hi - lo, out=out[:, s])
+
+    _each_column_chunk(x, chunk)
+    return HsiCube(cube.height, cube.width, out)

@@ -17,7 +17,7 @@ import numpy as np
 from .classify import LabelField
 from .cube import HsiCube
 from .errors import DegenerateInput, FormatError, NonFiniteData
-from .linalg import all_finite
+from .linalg import _each_column_chunk, all_finite
 from .pipeline import PipelineConfig
 from .solver import DlrrParams
 from .superpixel import SuperpixelPartition, first_appearance_ids
@@ -104,10 +104,12 @@ def load_cube(manifest_path):
         raise FormatError(
             f"{data_path}: raw size {actual} does not match {b}x{h}x{w} f32 ({expected})"
         )
-    raw = np.fromfile(data_path, dtype="<f4")
+    raw = np.fromfile(data_path, dtype="<f4").reshape(b, h * w)
     if not all_finite(raw):
         raise NonFiniteData(f"{data_path}: NaN or Inf entries")
-    return HsiCube(h, w, raw.reshape(b, h * w).astype(np.float64))
+    x = np.empty(raw.shape)
+    _each_column_chunk(raw, lambda s: np.copyto(x[:, s], raw[:, s]))
+    return HsiCube(h, w, x)
 
 
 def write_cube(cube, manifest_path):
@@ -119,8 +121,7 @@ def write_cube(cube, manifest_path):
     if data_filename == os.path.basename(manifest_path):
         raise ValueError(f"{manifest_path}: the manifest would overwrite its own .raw payload")
     data_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), data_filename)
-    payload = np.ascontiguousarray(cube.x, dtype="<f4").tobytes()
-    _atomic_write_bytes(data_path, payload)
+    _atomic_write_bytes(data_path, memoryview(np.ascontiguousarray(cube.x, dtype="<f4")))
     manifest = {
         "height": cube.height,
         "width": cube.width,

@@ -1,10 +1,7 @@
 import os
-import signal
 import subprocess
 import sys
 import textwrap
-import threading
-import time
 from unittest import mock
 
 import numpy as np
@@ -20,7 +17,7 @@ from spdlrr import (
     split,
     train_predict,
 )
-from spdlrr import classify
+from spdlrr import classify, linalg
 
 
 def blob_instance(seed=5, h=6, w=10, sigma=0.1):
@@ -231,7 +228,7 @@ class TestWorkerCount:
         train_y = data.draw(hnp.arrays(np.int64, n_train, elements=st.integers(1, 4)))
         k = data.draw(st.integers(1, n_train + 3))
         with mock.patch.object(classify, "_PREDICT_CHUNK", chunk), mock.patch.object(
-            classify, "_WORKERS", workers
+            linalg, "_WORKERS", workers
         ):
             knn = classify._knn(train_x, train_y, all_x, k)
             centroid = classify._nearest_centroid(train_x, train_y, all_x)
@@ -247,19 +244,18 @@ class TestWorkerCount:
             """
             from unittest import mock
             import numpy as np
-            from spdlrr import classify
+            from spdlrr import classify, linalg
             rng = np.random.default_rng(5)
             all_x = rng.standard_normal((103, 3 * classify._PREDICT_CHUNK - 700)).T
             train_x = all_x[rng.choice(all_x.shape[0], 212, replace=False)]
             train_y = rng.integers(1, 10, 212)
             d2 = np.empty((all_x.shape[0], 212))
-            def chunk(start):
-                rows = all_x[start : start + classify._PREDICT_CHUNK]
-                d2[start : start + len(rows)] = classify._sq_distances(rows, train_x)
+            def chunk(s):
+                d2[s] = classify._sq_distances(all_x[s], train_x)
             outputs = set()
             for workers in (1, 2, 3):
-                with mock.patch.object(classify, "_WORKERS", workers):
-                    classify._each_chunk(all_x.shape[0], chunk)
+                with mock.patch.object(linalg, "_WORKERS", workers):
+                    linalg._each_chunk(all_x.shape[0], classify._PREDICT_CHUNK, chunk)
                     knn = classify._knn(train_x, train_y, all_x, 5)
                     centroid = classify._nearest_centroid(train_x, train_y, all_x)
                 outputs.add(d2.tobytes() + knn.tobytes() + centroid.tobytes())
@@ -275,56 +271,6 @@ class TestWorkerCount:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "1"
-
-    @pytest.mark.parametrize("kind", ["nearest-centroid", "knn"])
-    def test_a_failing_chunk_is_reported(self, kind):
-        feats, field = blob_instance(h=6, w=10)
-        s = split(field, 0.3, seed=2)
-        caller = threading.get_ident()
-        sq_distances = classify._sq_distances
-
-        def failing(rows, ref):
-            if threading.get_ident() != caller:
-                raise MemoryError("chunk on the pool thread")
-            return sq_distances(rows, ref)
-
-        with mock.patch.object(classify, "_PREDICT_CHUNK", 16), mock.patch.object(
-            classify, "_WORKERS", 2
-        ), mock.patch.object(classify, "_sq_distances", failing):
-            threads = threading.active_count()
-            with pytest.raises(MemoryError, match="pool thread"):
-                train_predict(feats, s, field, kind)  # 60 pixels: 4 chunks
-            assert threading.active_count() == threads
-
-    def test_a_forked_child_classifies_after_the_parent(self):
-        # bench/run.py checks outputs in os.fork()ed children: a pool that
-        # outlived its call would have no threads there, and the child would
-        # wait on it forever.
-        feats, field = blob_instance(h=6, w=10)
-        s = split(field, 0.3, seed=2)
-        kinds = ("nearest-centroid", "knn")
-        with mock.patch.object(classify, "_PREDICT_CHUNK", 16), mock.patch.object(
-            classify, "_WORKERS", 3
-        ):  # 60 pixels: 4 chunks, so the pool runs
-            threads = threading.active_count()
-            parent = [train_predict(feats, s, field, kind).labels for kind in kinds]
-            assert threading.active_count() == threads
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    child = [train_predict(feats, s, field, kind).labels for kind in kinds]
-                    code = 0 if all(map(np.array_equal, child, parent)) else 3
-                finally:
-                    os._exit(code)
-        deadline = time.monotonic() + 60.0
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.02)
-        if done[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child did not finish classifying within 60 s")
-        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestEvaluate:

@@ -35,6 +35,16 @@ class TestCubeRoundTrip:
         assert (loaded.height, loaded.width, loaded.bands) == (3, 4, 5)
         np.testing.assert_array_equal(loaded.x, x)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_payload_is_the_f32_array_bytes(self, tmp_path, order):
+        # A Fortran-ordered x (a transposed array) is written band-major too.
+        x = np.asarray(np.random.default_rng(1).standard_normal((5, 12)), order=order)
+        manifest = tmp_path / "cube.json"
+        spio.write_cube(HsiCube(3, 4, x), str(manifest))
+        payload = (tmp_path / "cube.raw").read_bytes()
+        assert payload == np.ascontiguousarray(x, dtype="<f4").tobytes()
+        assert spio.load_cube(str(manifest)).x.tobytes() == x.astype("<f4").astype(np.float64).tobytes()
+
     def test_band_sequential_layout(self, tmp_path):
         raw = tmp_path / "d.raw"
         raw.write_bytes(np.array([1, 2, 3, 4], "<f4").tobytes())

@@ -1,3 +1,7 @@
+import os
+import signal
+import threading
+import time
 import warnings
 from unittest import mock
 
@@ -5,7 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdlrr import DlrrParams, HsiCube, NonFiniteData, SvdFailure, linalg, solve
+from spdlrr import (
+    DlrrParams,
+    HsiCube,
+    NonFiniteData,
+    SvdFailure,
+    linalg,
+    normalize,
+    solve,
+    split,
+    train_predict,
+)
 from spdlrr import io as spio
 from spdlrr.linalg import (
     all_finite,
@@ -17,6 +31,7 @@ from spdlrr.linalg import (
     svt,
     thin_svd,
 )
+from test_classify import blob_instance
 
 finite_reals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 thresholds = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -533,3 +548,64 @@ class TestAllFinite:
         assert all_finite(np.zeros((0, 3)))
         assert all_finite(np.array([[-np.finfo(float).max, np.finfo(float).max]]))
         assert all_finite(random_matrix(4, 3, 4))
+
+
+class TestEachChunk:
+    """The chunk pool that the classifiers and the per-pixel passes share."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @given(st.integers(0, 60), st.integers(1, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_every_chunk_runs_once(self, workers, n, size):
+        seen = []
+        with mock.patch.object(linalg, "_WORKERS", workers):
+            linalg._each_chunk(n, size, lambda s: seen.append((s.start, s.stop)))
+        expected = [(i, min(i + size, n)) for i in range(0, n, size)]
+        assert sorted(seen) == expected
+
+    def test_a_failing_chunk_is_reported(self):
+        caller = threading.get_ident()
+
+        def chunk(s):
+            if threading.get_ident() != caller:
+                raise MemoryError("chunk on the pool thread")
+
+        with mock.patch.object(linalg, "_WORKERS", 2):
+            threads = threading.active_count()
+            with pytest.raises(MemoryError, match="pool thread"):
+                linalg._each_chunk(60, 16, chunk)  # 4 chunks
+            assert threading.active_count() == threads
+
+    def test_a_forked_child_runs_chunks_after_the_parent(self):
+        # bench/run.py checks outputs in os.fork()ed children: a pool that
+        # outlived its call would have no threads there, and the child would
+        # wait on it forever.
+        feats, field = blob_instance(h=6, w=10)
+        s = split(field, 0.3, seed=2)
+        cube = HsiCube(6, 10, feats)
+
+        def outputs():
+            x = normalize(cube).x
+            return [x] + [train_predict(x, s, field, kind).labels for kind in ("nearest-centroid", "knn")]
+
+        with mock.patch.object(linalg, "_WORKERS", 3), mock.patch.object(
+            linalg, "_COLUMN_CHUNK", 16
+        ), mock.patch("spdlrr.classify._PREDICT_CHUNK", 16):  # 60 pixels: 4 chunks
+            threads = threading.active_count()
+            parent = outputs()
+            assert threading.active_count() == threads
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    code = 0 if all(map(np.array_equal, outputs(), parent)) else 3
+                finally:
+                    os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its chunks within 60 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
