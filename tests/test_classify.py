@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from unittest import mock
 
 import numpy as np
@@ -271,6 +272,26 @@ class TestWorkerCount:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "1"
+
+    @pytest.mark.parametrize("kind", ["nearest-centroid", "knn"])
+    def test_a_failing_chunk_is_reported(self, kind):
+        feats, field = blob_instance(h=6, w=10)
+        s = split(field, 0.3, seed=2)
+        caller = threading.get_ident()
+        sq_distances = classify._sq_distances
+
+        def failing(rows, ref):
+            if threading.get_ident() != caller:
+                raise MemoryError("chunk on the pool thread")
+            return sq_distances(rows, ref)
+
+        with mock.patch.object(classify, "_PREDICT_CHUNK", 16), mock.patch.object(
+            linalg, "_WORKERS", 2
+        ), mock.patch.object(classify, "_sq_distances", failing):
+            threads = threading.active_count()
+            with pytest.raises(MemoryError, match="pool thread"):
+                train_predict(feats, s, field, kind)  # 60 pixels: 4 chunks
+            assert threading.active_count() == threads
 
 
 class TestEvaluate:
