@@ -33,10 +33,6 @@ class UsageError(Exception):
     pass
 
 
-class StrictFailure(Exception):
-    """A --strict check failed; args are (message, exit code)."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
@@ -59,7 +55,7 @@ def _build_parser():
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("segment", help="superpixel segmentation raster")
-    add_options(p, "cube", "superpixels", "seed")
+    add_options(p, "cube", "superpixels")
     p.add_argument("--out")
 
     p = sub.add_parser("classify", help="full restoration + classification pipeline")
@@ -88,49 +84,48 @@ def _resolve_config(name):
     return spio.load_config(name)
 
 
-def _option(args, config, key, required=False):
-    """Flag value if given, else config value, else None; `required` turns
-    an absent value into a usage error."""
-    value = getattr(args, key)
-    if value is None:
-        value = config.get(key)
-    if value is None and required:
-        raise UsageError(f"missing required option --{key.replace('_', '-')}")
-    return value
+def _options(args):
+    """{config key: value} for each key the subcommand has a flag for: the
+    flag's value if given, else the --config file's, else None."""
+    config = _resolve_config(args.config)
+    keys = [key for key in spio.CONFIG_KEYS if hasattr(args, key)]
+    return {key: config.get(key) if getattr(args, key) is None else getattr(args, key) for key in keys}
 
 
-def _from_options(cls, args, config, **kwargs):
-    """cls built from those of its config fields that the subcommand has a
-    flag for and that a flag or the config supplies; its own defaults fill
-    the rest."""
+def _required(options, *keys):
+    """The values of keys in options; one that is None is a usage error."""
+    for key in keys:
+        if options[key] is None:
+            raise UsageError(f"missing required option --{key.replace('_', '-')}")
+    return [options[key] for key in keys]
+
+
+def _build(cls, options, **kwargs):
+    """cls built from those of its config fields that options give a value;
+    its own defaults fill the rest."""
     for key, f in spio.config_fields(cls).items():
-        value = _option(args, config, key) if hasattr(args, key) else None
-        if value is not None:
-            kwargs[f.name] = value
+        if options.get(key) is not None:
+            kwargs[f.name] = options[key]
     return cls(**kwargs)
 
 
-def _check_solve(args, restored, block_ids, converged):
-    """Warn on stderr when blocks of the restoration are exactly zero, and
-    under --strict fail on a non-converged solve; returns whether L is zero
-    in every block.  block_ids holds each pixel's block, 0..S-1."""
+def _check_solve(restored, block_ids):
+    """Warn on stderr when blocks of the restoration are exactly zero;
+    returns whether L is zero in every block.  block_ids holds each pixel's
+    block, 0..S-1."""
     ids = block_ids.ravel()
     zero = np.bincount(ids, weights=restored.any(axis=0)) == 0
     if zero.any():
         share = zero[ids].mean()
         print(f"warning: L is zero in {zero.sum()} of {zero.size} blocks ({share:.1%} of pixels): "
               "blocks under the lambda floor, see README Limits", file=sys.stderr)
-    if args.strict and not converged:
-        raise StrictFailure("solver did not converge", 3)
     return zero.all()
 
 
 def _cmd_decompose(args):
-    config = _resolve_config(args.config)
-    cube_path = _option(args, config, "cube", required=True)
-    part_path = _option(args, config, "partition", required=True)
-    out_dir = _option(args, config, "out_dir", required=True)
-    params = _from_options(DlrrParams, args, config)
+    options = _options(args)
+    cube_path, part_path, out_dir = _required(options, "cube", "partition", "out_dir")
+    params = _build(DlrrParams, options)
     cube = spio.load_cube(cube_path)
     partition = spio.load_partition(part_path)
     if partition.labels.shape != (cube.height, cube.width):
@@ -142,59 +137,49 @@ def _cmd_decompose(args):
     spio.write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
     status = "converged" if converged else "did not converge"
     print(f"decompose: {status} after {trace.iterations} iterations")
-    _check_solve(args, restored, partition.labels, converged)
+    _check_solve(restored, partition.labels)
+    if args.strict and not converged:
+        print("solver did not converge (--strict)", file=sys.stderr)
+        return 3
     return 0
 
 
 def _cmd_segment(args):
-    config = _resolve_config(args.config)
-    cube_path = _option(args, config, "cube", required=True)
-    out_path = args.out
-    if out_path is None:
-        raise UsageError("missing required option --out")
-    defaults = _from_options(PipelineConfig, args, config)
+    options = _options(args)
+    cube_path, out_path = _required({**options, "out": args.out}, "cube", "out")
+    superpixels = _build(PipelineConfig, options).initial_superpixels
     cube = spio.load_cube(cube_path)
-    base = project_base_image(cube)
-    partition = segment(base, defaults.initial_superpixels, defaults.seed)
+    partition = segment(project_base_image(cube), superpixels)
     spio.write_raster(partition.labels, out_path)
     print(f"segment: {partition.count} superpixels")
     return 0
 
 
 def _cmd_classify(args):
-    config = _resolve_config(args.config)
-    if args.seed is None:
-        raise UsageError("classify requires an explicit --seed")
-    cube_path = _option(args, config, "cube", required=True)
-    labels_path = _option(args, config, "labels", required=True)
-    out_dir = _option(args, config, "out_dir", required=True)
-    dlrr = _from_options(DlrrParams, args, config)
-    pipe_config = _from_options(PipelineConfig, args, config, dlrr=dlrr)
+    options = _options(args)
+    cube_path, labels_path, out_dir, _ = _required(options, "cube", "labels", "out_dir", "seed")
+    pipe_config = _build(PipelineConfig, options, dlrr=_build(DlrrParams, options))
     cube = spio.load_cube(cube_path)
     labels, mapping = spio.load_labels(labels_path)
     spio.check_map_classes(labels.n_classes)  # fail before the run writes anything
     result = run(cube, labels, pipe_config)
     os.makedirs(out_dir, exist_ok=True)
-    n_classes = labels.n_classes
-    back = np.zeros(n_classes + 1, dtype=np.int64)
-    for orig, dense in mapping.items():
-        back[dense] = orig
+    back = np.array([0, *mapping])  # original id of each dense id; mapping is in id order
     spio.write_raster(back[result.final_predictions.labels], os.path.join(out_dir, "predictions.txt"))
-    spio.render_map(
-        result.final_predictions,
-        os.path.join(out_dir, "map.pgm"),
-        n_classes=n_classes,
-        class_ids=back.tolist(),
-    )
+    spio.render_map(result.final_predictions, os.path.join(out_dir, "map.pgm"),
+                    n_classes=labels.n_classes, class_ids=back.tolist())
     spio.write_metrics_json(result.metrics, os.path.join(out_dir, "metrics.json"))
     for t, trace in enumerate(result.traces, 1):
         spio.write_trace_csv(trace, os.path.join(out_dir, f"trace_{t}.csv"))
     m = result.metrics
     print(f"classify: oa={m.oa:.4f} aa={m.aa:.4f} kappa={m.kappa:.4f}")
-    last = result.partitions[-1].labels
-    all_zero = _check_solve(args, result.l_final, last, all(result.converged))
+    all_zero = _check_solve(result.l_final, result.partitions[-1].labels)
+    if args.strict and not all(result.converged):
+        print("solver did not converge (--strict)", file=sys.stderr)
+        return 3
     if args.strict and all_zero:  # then every pixel got the same class
-        raise StrictFailure("L is zero in every block", 4)
+        print("L is zero in every block (--strict)", file=sys.stderr)
+        return 4
     return 0
 
 
@@ -236,10 +221,6 @@ def cli_main(argv):
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except StrictFailure as exc:
-        message, code = exc.args
-        print(f"{message} (--strict)", file=sys.stderr)
-        return code
     except (SpdlrrError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -137,8 +137,15 @@ def load_raster(path):
     """Read a text raster: a 'height width' line, then height rows of width
     non-negative integers.  Only blank lines may follow the last row."""
     fh = _open_text(path)
+
+    def split_line():  # int() would also read '_' separators and non-ASCII digits
+        line = fh.readline()
+        if not line.isascii() or "_" in line:
+            raise ValueError(line)
+        return line.split()
+
     try:
-        tokens = fh.readline().split()
+        tokens = split_line()
         if len(tokens) != 2:
             raise FormatError(f"{path}: first line must be 'height width'")
         h, w = int(tokens[0]), int(tokens[1])
@@ -146,7 +153,7 @@ def load_raster(path):
             raise FormatError(f"{path}: dimensions must be positive")
         rows = []
         for i in range(h):
-            row = fh.readline().split()
+            row = split_line()
             if len(row) != w:
                 raise FormatError(f"{path}: row {i} has {len(row)} of {w} values")
             rows.append([int(v) for v in row])

@@ -111,12 +111,8 @@ def thin_svd(a):
 
 
 def singular_values(a):
-    """Singular values of a, non-increasing."""
-    a = np.asarray(a, dtype=np.float64)
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError:
-        return thin_svd(a)[1]
+    """Singular values of a, non-increasing, from thin_svd and its checks."""
+    return thin_svd(a)[1]
 
 
 def svt(a, tau, gram=False):

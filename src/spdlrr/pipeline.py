@@ -83,16 +83,14 @@ def run(cube, labels, config):
     restored, variations = None, None
     for _ in range(config.t_max):
         base = project_base_image(working)
-        part = segment(base, config.initial_superpixels, config.seed)
+        part = segment(base, config.initial_superpixels)
         preds = train_predict(
             working.x, tsplit, labels, config.classifier, k=config.knn_k
         )
         # Training pixels keep their known labels when guiding refinement.
         guided = preds.labels.copy()
         guided[tsplit.train_mask] = labels.labels[tsplit.train_mask]
-        part = refine(
-            part, LabelField(guided), config.delta, config.m_split, base, config.seed
-        )
+        part = refine(part, LabelField(guided), config.delta, config.m_split, base)
         restored, variations, trace, ok = solve(cube.x, part.labels, config.dlrr)
         working = HsiCube(cube.height, cube.width, restored)
         partitions.append(part)

@@ -6,8 +6,7 @@ base image, followed by 4-connectivity enforcement.  Refinement splits
 a threshold fraction of their pixels — by re-segmenting the smallest
 enclosing square around them, restricted to the superpixel's own pixels.
 
-Everything here is deterministic; the seed arguments exist for interface
-stability but no random numbers are drawn.
+Everything here is deterministic: no random numbers are drawn.
 """
 
 import math
@@ -287,6 +286,7 @@ def segment(base, target_count, seed=0):
 
     Deterministic for fixed inputs; the result satisfies the partition
     invariants and its size stays within [target_count / 2, 2 * target_count].
+    seed is unused; it stays because bench/workloads.py passes it by position.
     """
     base = np.asarray(base, dtype=np.float64)
     h, w = base.shape
@@ -320,7 +320,8 @@ def refine(partition, predictions, delta, m_split, base, seed=0):
     within its smallest enclosing square, using only its own pixels.  Noisy
     superpixels smaller than m_split fall apart into singletons.  Output ids
     are re-compacted; every output superpixel is a subset of one input
-    superpixel.
+    superpixel.  seed is unused; it stays because bench/workloads.py passes
+    it by position.
     """
     if not 0.0 < delta <= 1.0:
         raise DegenerateInput("delta must lie in (0, 1]")

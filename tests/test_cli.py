@@ -70,6 +70,22 @@ class TestExitCodes:
         args.remove("7")
         assert cli_main(args) == 1
 
+    def test_classify_without_a_seed_in_flags_or_config(self, demo_dir, capsys):
+        cfg = demo_dir / "run.cfg"
+        cfg.write_text("delta = 0.8\n")
+        args = classify_args(demo_dir, "out", extra=["--config", str(cfg)])
+        args.remove("--seed")
+        args.remove("7")
+        assert cli_main(args) == 1
+        assert "missing required option --seed" in capsys.readouterr().err
+        assert not (demo_dir / "out").exists()
+
+    def test_segment_has_no_seed_flag(self, demo_dir, capsys):
+        argv = ["segment", "--cube", str(demo_dir / "cube.json"), "--out", str(demo_dir / "p.txt")]
+        assert cli_main([*argv, "--seed", "1"]) == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert cli_main(argv) == 0
+
     def test_format_error_is_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "cube.json"
         bad.write_text("{not json")
@@ -365,6 +381,33 @@ class TestClassifyCommand:
         assert len(outputs["1"][1]) == 7
         assert outputs["1"] == outputs["2"]
 
+    def test_config_seed_equals_flag_seed(self, demo_dir, capsys):
+        cfg = demo_dir / "run.cfg"
+        cfg.write_text("seed = 7\n")
+        assert cli_main(classify_args(demo_dir, "flag")) == 0
+        args = classify_args(demo_dir, "config", extra=["--config", str(cfg)])
+        args.remove("--seed")
+        args.remove("7")
+        assert cli_main(args) == 0
+        files = sorted(p.name for p in (demo_dir / "flag").iterdir())
+        assert files == sorted(p.name for p in (demo_dir / "config").iterdir())
+        for name in files:
+            assert (demo_dir / "flag" / name).read_bytes() == (demo_dir / "config" / name).read_bytes()
+
+    def test_predictions_carry_the_original_class_ids(self, demo_dir, capsys):
+        truth = spio.load_raster(str(demo_dir / "truth.txt"))
+        original = np.array([0, 9, 4])  # dense ids 1 and 2 in order of first appearance
+        assert truth.ravel()[truth.ravel() > 0][0] == 1
+        spio.write_raster(original[truth], str(demo_dir / "truth.txt"))
+        assert cli_main(classify_args(demo_dir, "renamed")) == 0
+        spio.write_raster(truth, str(demo_dir / "truth.txt"))
+        assert cli_main(classify_args(demo_dir, "dense")) == 0
+        dense = spio.load_raster(str(demo_dir / "dense" / "predictions.txt"))
+        renamed = spio.load_raster(str(demo_dir / "renamed" / "predictions.txt"))
+        np.testing.assert_array_equal(renamed, original[dense])
+        for name in ("map.pgm", "metrics.json"):
+            assert (demo_dir / "renamed" / name).read_bytes() == (demo_dir / "dense" / name).read_bytes()
+
     def test_config_file_supplies_defaults_and_flags_override(self, demo_dir, capsys):
         cfg = demo_dir / "run.cfg"
         cfg.write_text(
@@ -530,8 +573,7 @@ class TestDefaults:
         assert calls["solve"][2] == DlrrParams()
         with pytest.raises(_Captured):
             cli_main(["segment", "--cube", str(demo_dir / "cube.json"), "--out", "s.txt"])
-        defaults = PipelineConfig()
-        assert calls["segment"][1:] == (defaults.initial_superpixels, defaults.seed)
+        assert calls["segment"][1:] == (PipelineConfig().initial_superpixels,)
 
     def test_flag_beats_config_beats_default(self, demo_dir, calls):
         cfg = demo_dir / "run.cfg"
@@ -546,6 +588,12 @@ class TestDefaults:
         config = calls["run"][2]
         assert (config.dlrr.lam, config.delta) == (0.3, 0.9)
 
+    def test_seed_flag_beats_config_seed(self, demo_dir, calls):
+        cfg = demo_dir / "run.cfg"
+        cfg.write_text("seed = 3\n")
+        self.classify(demo_dir, "--config", str(cfg), "--seed", "7")
+        assert calls["run"][2] == PipelineConfig(seed=7)
+
     @pytest.mark.parametrize("source", ["config", "flag"])
     @pytest.mark.parametrize("cls, key, f", SCALAR_FIELDS)
     def test_every_scalar_field_is_an_option(self, demo_dir, calls, cls, key, f, source):
@@ -555,11 +603,6 @@ class TestDefaults:
             option = ["--config", str(demo_dir / "run.cfg")]
         else:
             option = ["--" + key.replace("_", "-"), str(value)]
-        if (key, source) == ("seed", "config"):  # classify takes its seed from the flag only
-            with pytest.raises(_Captured):
-                cli_main(["segment", "--cube", str(demo_dir / "cube.json"), "--out", "s.txt", *option])
-            assert calls["segment"][2] == value
-            return
         self.classify(demo_dir, *(["--seed", "7"] if key != "seed" else []), *option)
         if cls is DlrrParams:
             expected = PipelineConfig(seed=7, dlrr=DlrrParams(**{f.name: value}))

@@ -423,6 +423,19 @@ class TestMalformedInputs:
         with pytest.raises(FormatError, match="64-bit"):
             spio.load_raster(str(path))
 
+    @pytest.mark.parametrize(
+        "text",
+        ["2 2\n1_0 2\n3 4\n", "2 2\n1 2\n3 \u0663\n", "1_0 2\n", "\u0661 2\n1 2\n"],
+        ids=["row-underscore", "row-arabic-indic-digit", "header-underscore", "header-arabic-indic-digit"],
+    )
+    def test_raster_digits_are_ascii_without_separators(self, tmp_path, text):
+        # int() alone would read '1_0' as 10 and '\u0663' as 3.
+        path = tmp_path / "r.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match="non-integer raster value"):
+            spio.load_raster(str(path))
+        assert cli_main(["metrics", str(path), str(path)]) == 2
+
     def test_nul_in_data_path(self, tmp_path):
         (tmp_path / "cube.json").write_text(json.dumps({**VALID_MANIFEST, "data_path": "a\0b"}))
         with pytest.raises(FormatError, match="data_path"):

@@ -467,7 +467,7 @@ class TestGramSvt:
 
 class TestNonFinite:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("fn", [thin_svd, nuclear_subgradient, svt])
+    @pytest.mark.parametrize("fn", [thin_svd, nuclear_subgradient, svt, singular_values, nuclear_norm])
     def test_raises_svd_failure(self, fn, value):
         a = random_matrix(8, 5, 7)
         a[2, 3] = value
