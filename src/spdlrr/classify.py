@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, check_options
 from .linalg import _each_chunk
 
 DEFAULT_KNN_K = 5
@@ -57,8 +57,7 @@ class TrainSplit:
 def split(labels, percent, seed):
     """Draw max(1, ceil(percent * n_c)) training pixels per class, uniformly
     without replacement; the remaining labeled pixels become test pixels."""
-    if not 0.0 < percent < 1.0:
-        raise DegenerateInput("percent must lie strictly between 0 and 1")
+    check_options(split_percent=percent)
     flat = labels.labels.ravel()
     n_classes = labels.n_classes
     if n_classes < 2:
@@ -101,8 +100,7 @@ def _nearest_centroid(train_x, train_y, all_x):
 
 
 def _knn(train_x, train_y, all_x, k):
-    if k < 1:
-        raise DegenerateInput("knn_k must be at least 1")
+    check_options(knn_k=k)
     k = min(k, train_x.shape[0])
     n_classes = int(train_y.max())
     pred = np.empty(all_x.shape[0], dtype=np.int64)

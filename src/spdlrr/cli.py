@@ -8,8 +8,8 @@ A --config file supplies defaults for the flags of the same name; flags win.
 Exit codes: 0 success, 1 usage error, 2 data/format error, a solve whose
 iterates turned NaN or infinite, or out of memory, 3 non-converged solve
 under --strict, 4 a classify run whose L is zero in every block under
---strict.  A block of L that is exactly zero (under the lambda floor)
-prints one warning line.
+--strict.  Blocks of L that are exactly zero print one warning line, which
+names the lambda floor or the solve's stop.
 """
 
 import argparse
@@ -109,16 +109,22 @@ def _build(cls, options, **kwargs):
     return cls(**kwargs)
 
 
-def _check_solve(restored, block_ids):
+def _check_solve(restored, block_ids, lam, iterations, converged):
     """Warn on stderr when blocks of the restoration are exactly zero;
     returns whether L is zero in every block.  block_ids holds each pixel's
-    block, 0..S-1."""
+    block, 0..S-1.  A zero block of n pixels in d bands is blamed on the
+    lambda floor only when lam^2 * d * n < 1; any other names the solve's
+    iteration count and status."""
     ids = block_ids.ravel()
     zero = np.bincount(ids, weights=restored.any(axis=0)) == 0
     if zero.any():
         share = zero[ids].mean()
-        print(f"warning: L is zero in {zero.sum()} of {zero.size} blocks ({share:.1%} of pixels): "
-              "blocks under the lambda floor, see README Limits", file=sys.stderr)
+        over = np.count_nonzero(np.bincount(ids)[zero] * (lam * lam * restored.shape[0]) >= 1)
+        status = "converged" if converged else "did not converge"
+        cause = (f"{over} of them not under the lambda floor; the solve {status} after {iterations} iterations"
+                 if over else "blocks under the lambda floor, see README Limits")
+        print(f"warning: L is zero in {zero.sum()} of {zero.size} blocks ({share:.1%} of pixels): {cause}",
+              file=sys.stderr)
     return zero.all()
 
 
@@ -137,7 +143,7 @@ def _cmd_decompose(args):
     spio.write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
     status = "converged" if converged else "did not converge"
     print(f"decompose: {status} after {trace.iterations} iterations")
-    _check_solve(restored, partition.labels)
+    _check_solve(restored, partition.labels, params.lam, trace.iterations, converged)
     if args.strict and not converged:
         print("solver did not converge (--strict)", file=sys.stderr)
         return 3
@@ -173,7 +179,8 @@ def _cmd_classify(args):
         spio.write_trace_csv(trace, os.path.join(out_dir, f"trace_{t}.csv"))
     m = result.metrics
     print(f"classify: oa={m.oa:.4f} aa={m.aa:.4f} kappa={m.kappa:.4f}")
-    all_zero = _check_solve(result.l_final, result.partitions[-1].labels)
+    all_zero = _check_solve(result.l_final, result.partitions[-1].labels, pipe_config.dlrr.lam,
+                            result.traces[-1].iterations, result.converged[-1])
     if args.strict and not all(result.converged):
         print("solver did not converge (--strict)", file=sys.stderr)
         return 3

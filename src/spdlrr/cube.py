@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, NonFiniteData
 from .linalg import _each_column_chunk, all_finite, extremes
 
 
@@ -30,7 +30,7 @@ class HsiCube:
                 f"{self.height}x{self.width} image"
             )
         if not all_finite(self.x):
-            raise ValueError("cube entries must be finite")
+            raise NonFiniteData("cube entries must be finite")
 
     @property
     def bands(self):

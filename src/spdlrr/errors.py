@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the run options' rules."""
+
+import math
 
 
 class SpdlrrError(Exception):
@@ -23,4 +25,31 @@ class FormatError(SpdlrrError, ValueError):
 
 
 class NonFiniteData(SpdlrrError, ValueError):
-    """Loaded data contains NaN or infinite entries."""
+    """A cube or loaded payload contains NaN or infinite entries."""
+
+
+# Config names of the dataclass fields that go by a shorter name.
+CONFIG_NAMES = {"lam": "lambda", "initial_superpixels": "superpixels", "split_percent": "percent"}
+
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+_FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and positive")
+# Each run option's rule, by field name: (predicate, phrase).  NaN fails
+# every predicate.
+OPTION_RULES = {
+    **dict.fromkeys(("t_max", "initial_superpixels", "m_split", "knn_k", "max_iter"), _AT_LEAST_1),
+    "seed": (lambda v: v >= 0, "must be non-negative"),
+    "delta": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    "split_percent": (lambda v: 0 < v < 1, "must lie strictly between 0 and 1"),
+    **dict.fromkeys(("lam", "eps"), _FINITE_POSITIVE),
+    "beta": (lambda v: 0 <= v < math.inf, "must be finite and non-negative"),
+    "rho": (lambda v: 1 < v < math.inf, "must be finite and above 1"),
+}
+
+
+def check_options(**values):
+    """Raise DegenerateInput for the first value, by field name, that breaks
+    its OPTION_RULES rule, naming the option by its config key.  Names
+    without a rule (a dataclass's other fields) pass."""
+    for name, value in values.items():
+        if name in OPTION_RULES and not OPTION_RULES[name][0](value):
+            raise DegenerateInput(f"{CONFIG_NAMES.get(name, name)} {OPTION_RULES[name][1]}, not {value}")

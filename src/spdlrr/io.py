@@ -16,23 +16,20 @@ import numpy as np
 
 from .classify import LabelField
 from .cube import HsiCube
-from .errors import DegenerateInput, FormatError, NonFiniteData
-from .linalg import _each_column_chunk, all_finite
+from .errors import CONFIG_NAMES, DegenerateInput, FormatError, NonFiniteData
+from .linalg import _each_column_chunk
 from .pipeline import PipelineConfig
 from .solver import DlrrParams
 from .superpixel import SuperpixelPartition, first_appearance_ids
 
 MANIFEST_KEYS = {"height", "width", "bands", "dtype", "layout", "data_path"}
 
-# Config names of the dataclass fields that go by a shorter name.
-_CONFIG_NAMES = {"lam": "lambda", "initial_superpixels": "superpixels", "split_percent": "percent"}
-
 
 def config_fields(cls):
     """{config key: field} for every int, float and str field of the
     dataclass cls, in field order."""
     fields = dataclasses.fields(cls)
-    return {_CONFIG_NAMES.get(f.name, f.name): f for f in fields if f.type in (int, float, str)}
+    return {CONFIG_NAMES.get(f.name, f.name): f for f in fields if f.type in (int, float, str)}
 
 
 # Each config key with its type: the input and output paths, then the
@@ -105,11 +102,12 @@ def load_cube(manifest_path):
             f"{data_path}: raw size {actual} does not match {b}x{h}x{w} f32 ({expected})"
         )
     raw = np.fromfile(data_path, dtype="<f4").reshape(b, h * w)
-    if not all_finite(raw):
-        raise NonFiniteData(f"{data_path}: NaN or Inf entries")
     x = np.empty(raw.shape)
     _each_column_chunk(raw, lambda s: np.copyto(x[:, s], raw[:, s]))
-    return HsiCube(h, w, x)
+    try:
+        return HsiCube(h, w, x)
+    except NonFiniteData as exc:  # HsiCube checks the entries, once
+        raise NonFiniteData(f"{data_path}: NaN or Inf entries") from exc
 
 
 def write_cube(cube, manifest_path):

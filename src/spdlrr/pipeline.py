@@ -21,6 +21,7 @@ from .classify import (
     train_predict,
 )
 from .cube import HsiCube, normalize
+from .errors import check_options
 from .solver import DlrrParams, solve
 from .superpixel import project_base_image, refine, segment
 
@@ -38,18 +39,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.t_max < 1:
-            raise ValueError("t_max must be at least 1")
-        if self.initial_superpixels < 1:
-            raise ValueError("initial_superpixels must be at least 1")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
-        if self.m_split < 1:
-            raise ValueError("m_split must be at least 1")
-        if self.knn_k < 1:
-            raise ValueError("knn_k must be at least 1")
-        if not 0.0 < self.split_percent < 1.0:
-            raise ValueError("split_percent must lie strictly between 0 and 1")
+        check_options(**vars(self))
         check_classifier(self.classifier)
 
 

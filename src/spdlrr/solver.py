@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverDiverged, SvdFailure
+from .errors import DegenerateInput, SolverDiverged, SvdFailure, check_options
 from .linalg import all_finite, max_norm, nuclear_subgradient, soft_threshold, svt
 from .linalg import nuclear_norm  # noqa: F401  (for bench/tracing.py)
 
@@ -42,21 +42,12 @@ class DlrrParams:
     max_iter: int = 500
 
     def __post_init__(self):
-        for name in ("lam", "beta", "rho", "eps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
-        if self.rho <= 1:
-            raise ValueError("rho must exceed 1")
-        if not 0 < self.mu0 < self.mu_max:
-            raise ValueError("need 0 < mu0 < mu_max")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        check_options(**vars(self))
+        # mu0 is the smallest mu, so it gives the largest lam / mu, beta / mu
+        # and 1 / (2 mu) that the updates use.
+        top = float(max(self.lam, self.beta, 0.5))
+        if not (0 < self.mu0 < self.mu_max and math.isfinite(top / float(self.mu0))):
+            raise DegenerateInput("need 0 < mu0 < mu_max, with lambda / mu0, beta / mu0 and 1 / (2 mu0) finite")
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, check_options
 from .linalg import _each_chunk, _each_column_chunk
 
 COMPACTNESS = 0.1
@@ -290,8 +290,7 @@ def segment(base, target_count, seed=0):
     """
     base = np.asarray(base, dtype=np.float64)
     h, w = base.shape
-    if target_count < 1:
-        raise DegenerateInput("target_count must be at least 1")
+    check_options(initial_superpixels=target_count)
     if target_count > h * w:
         raise DegenerateInput("target_count exceeds the pixel count")
     return SuperpixelPartition(_slic(base, np.ones((h, w), dtype=bool), target_count))
@@ -323,10 +322,7 @@ def refine(partition, predictions, delta, m_split, base, seed=0):
     superpixel.  seed is unused; it stays because bench/workloads.py passes
     it by position.
     """
-    if not 0.0 < delta <= 1.0:
-        raise DegenerateInput("delta must lie in (0, 1]")
-    if m_split < 1:
-        raise DegenerateInput("m_split must be at least 1")
+    check_options(delta=delta, m_split=m_split)
     base = np.asarray(base, dtype=np.float64)
     preds = np.asarray(predictions.labels)
     if preds.shape != partition.labels.shape:

@@ -1,11 +1,16 @@
+import contextlib
 import dataclasses
+import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spdlrr
 from spdlrr import DlrrParams, PipelineConfig, cli, solver
@@ -149,23 +154,32 @@ class TestExitCodes:
         assert "unknown classifier kind 'foo'" in capsys.readouterr().err
         assert segments == [] and sorted(os.listdir(demo_dir)) == before
 
+    MU0_RULE = "need 0 < mu0 < mu_max, with lambda / mu0, beta / mu0 and 1 / (2 mu0) finite"
+
     @pytest.mark.parametrize(
         "command, flags, message",
         [
-            ("classify", ["--superpixels", "0"], "initial_superpixels"),
-            ("classify", ["--percent", "1.5"], "split_percent"),
-            ("segment", ["--superpixels", "0"], "initial_superpixels"),
+            ("classify", ["--superpixels", "0"], "superpixels must be at least 1, not 0"),
+            ("classify", ["--percent", "1.5"], "percent must lie strictly between 0 and 1, not 1.5"),
+            ("segment", ["--superpixels", "0"], "superpixels must be at least 1, not 0"),
+            ("classify", ["--seed", "-1"], "seed must be non-negative, not -1"),
+            ("classify", ["--mu0", "1e-320"], MU0_RULE),
+            ("classify", ["--beta", "1e308"], MU0_RULE),
+            ("classify", ["--delta", "0"], "delta must lie in (0, 1], not 0.0"),
+            ("classify", ["--m-split", "0"], "m_split must be at least 1, not 0"),
+            ("classify", ["--t-max", "0"], "t_max must be at least 1, not 0"),
         ],
-        ids=["classify-superpixels", "classify-percent", "segment-superpixels"],
+        ids=["classify-superpixels", "classify-percent", "segment-superpixels", "classify-seed",
+             "classify-mu0", "classify-beta", "classify-delta", "classify-m-split", "classify-t-max"],
     )
     def test_bad_count_or_fraction_is_exit_two_before_the_run(
         self, demo_dir, capsys, monkeypatch, command, flags, message
     ):
         calls = []
-        for module in (spdlrr.pipeline, cli):
-            for name in ("project_base_image", "segment"):
-                real = getattr(module, name)
-                monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
+        for module, name in [(spio, "load_cube"), *((m, n) for m in (spdlrr.pipeline, cli)
+                                                    for n in ("project_base_image", "segment"))]:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
         if command == "classify":
             argv = classify_args(demo_dir, "out", extra=flags)
         else:
@@ -173,7 +187,7 @@ class TestExitCodes:
             argv += flags
         before = sorted(os.listdir(demo_dir))
         assert cli_main(argv) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert calls == [] and sorted(os.listdir(demo_dir)) == before
 
     def test_too_many_classes_fail_before_the_run(self, tmp_path, capsys):
@@ -260,6 +274,48 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
+
+
+# Values at the edges of each option type (Claessen & Hughes, QuickCheck).
+EDGE_VALUES = {
+    float: [0.0, 1.0, -1.0, 5e-324, 1e308, math.inf, -math.inf, math.nan],
+    int: [-1, 0, 1, 2],
+}
+EDGE_OPTIONS = [(key, v) for key, t in spio.CONFIG_KEYS.items() if t in EDGE_VALUES for v in EDGE_VALUES[t]]
+
+
+class TestOptionEdges:
+    """Each numeric option at its type's edges, one at a time, on top of a
+    short classify run on the demo scene: cli_main returns a documented
+    exit code and raises nothing, a failed run writes nothing, and an exit
+    2 names the option."""
+
+    runs = itertools.count()
+
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        cube, labels = two_class_cube(seed=0)
+        work = tmp_path_factory.mktemp("edges")
+        spio.write_cube(cube, str(work / "cube.json"))
+        spio.write_raster(labels.labels, str(work / "truth.txt"))
+        return work
+
+    # Hypothesis stops once it has drawn every case, after about 1 s.
+    @settings(max_examples=4 * len(EDGE_OPTIONS), deadline=2000)
+    @given(option=st.sampled_from(EDGE_OPTIONS))
+    def test_exit_code_is_documented_and_a_failed_run_writes_nothing(self, scene, option):
+        key, value = option
+        out_name = f"out-{next(self.runs)}"
+        base = ["--t-max", "1", "--max-iter", "5"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli_main(classify_args(scene, out_name, extra=[*base, f"--{key.replace('_', '-')}={value!r}"]))
+        assert rc in (0, 1, 2, 3, 4)
+        if rc in (1, 2):
+            out = scene / out_name
+            assert not out.exists() or not any(out.iterdir())
+        if rc == 2:  # the message names the option at fault
+            assert err.getvalue().startswith("error: ") and key in err.getvalue()
 
 
 class TestSegmentCommand:
@@ -485,6 +541,32 @@ class TestLambdaFloorWarning:
         assert self.decompose(demo_dir, np.zeros((12, 12), int), "--strict") == 0
         err = capsys.readouterr().err
         assert err.startswith(self.WARNING.format(1, 1, "100.0%")) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "extra, stop",
+        [
+            (["--max-iter", "1"], "did not converge after 1"),
+            (["--eps", "1e308"], "converged after 1"),
+            (["--eps", "1e-320", "--max-iter", "3"], "did not converge after 3"),
+        ],
+    )
+    def test_zero_blocks_over_the_floor_name_the_solve(self, demo_dir, capsys, extra, stop):
+        # The golden flags' 4 blocks of about 36 px clear the floor of 6 px:
+        # the early stop, not lambda, leaves L zero.
+        assert cli_main(classify_args(demo_dir, "out", extra=extra)) == 0
+        assert capsys.readouterr().err == (
+            "warning: L is zero in 4 of 4 blocks (100.0% of pixels): "
+            f"4 of them not under the lambda floor; the solve {stop} iterations\n"
+        )
+
+    def test_only_blocks_over_the_floor_count_against_the_solve(self, demo_dir, capsys):
+        partition = np.ones((12, 12), int)
+        partition[0, 0] = 0  # 1 px under the floor of 6 px, 143 px over it
+        assert self.decompose(demo_dir, partition, "--lambda", str(CUBE_LAM), "--max-iter", "1") == 0
+        assert capsys.readouterr().err == (
+            "warning: L is zero in 2 of 2 blocks (100.0% of pixels): "
+            "1 of them not under the lambda floor; the solve did not converge after 1 iterations\n"
+        )
 
 
 class TestMetricsCommand:

@@ -10,9 +10,15 @@ from spdlrr import (
     DegenerateInput,
     DlrrParams,
     HsiCube,
+    LabelField,
     PipelineConfig,
+    SuperpixelPartition,
     normalize,
+    refine,
     run,
+    segment,
+    split,
+    train_predict,
 )
 from spdlrr import pipeline as pipeline_mod
 from spdlrr.synthetic import two_class_cube
@@ -89,13 +95,44 @@ class TestConfig:
 
     @pytest.mark.parametrize("count", [0, -2])
     def test_superpixel_count_below_one_rejected(self, count):
-        with pytest.raises(ValueError, match="initial_superpixels"):
+        with pytest.raises(ValueError, match=f"^superpixels must be at least 1, not {count}$"):
             PipelineConfig(initial_superpixels=count)
 
     @pytest.mark.parametrize("percent", [0.0, 1.0, -0.1, 1.5])
     def test_split_fraction_outside_open_unit_interval_rejected(self, percent):
-        with pytest.raises(ValueError, match="split_percent"):
+        with pytest.raises(ValueError, match=f"^percent must lie strictly between 0 and 1, not {percent}$"):
             PipelineConfig(split_percent=percent)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"t_max": 0}, "t_max must be at least 1, not 0"),
+            ({"delta": 1.5}, "delta must lie in (0, 1], not 1.5"),
+            ({"m_split": 0}, "m_split must be at least 1, not 0"),
+            ({"seed": -1}, "seed must be non-negative, not -1"),
+        ],
+    )
+    def test_each_rule_names_its_config_key(self, kwargs, message):
+        with pytest.raises(DegenerateInput) as exc:
+            PipelineConfig(**kwargs)
+        assert str(exc.value) == message
+
+    def test_public_functions_raise_the_configs_message(self):
+        labels = LabelField(np.array([[1, 1, 2, 2]]))
+        partition = SuperpixelPartition(np.zeros((1, 4), int))
+        calls = [
+            (lambda: segment(np.zeros((2, 2)), 0), {"initial_superpixels": 0}),
+            (lambda: refine(partition, labels, 0.0, 1, np.zeros((1, 4))), {"delta": 0.0}),
+            (lambda: refine(partition, labels, 0.5, 0, np.zeros((1, 4))), {"m_split": 0}),
+            (lambda: split(labels, 1.5, 0), {"split_percent": 1.5}),
+            (lambda: train_predict(np.eye(4), split(labels, 0.5, 0), labels, "knn", k=0), {"knn_k": 0}),
+        ]
+        for call, kwargs in calls:
+            with pytest.raises(DegenerateInput) as from_config:
+                PipelineConfig(**kwargs)
+            with pytest.raises(DegenerateInput) as from_call:
+                call()
+            assert str(from_call.value) == str(from_config.value)
 
     def test_unknown_classifier_rejected(self):
         with pytest.raises(ValueError, match="unknown classifier kind 'foo'"):

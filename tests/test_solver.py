@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 import spdlrr.linalg
 import spdlrr.solver
 from spdlrr import (
+    DegenerateInput,
     DlrrParams,
     SolverDiverged,
     SolverState,
@@ -199,6 +200,13 @@ class TestParams:
         # eps = nan never converged.
         with pytest.raises(ValueError, match=name):
             DlrrParams(**{"lam": 0.1, name: value})
+
+    @pytest.mark.parametrize("kwargs", [{"mu0": 1e-320}, {"mu0": 5e-324}, {"beta": 1e308}, {"lam": 1e308}])
+    def test_rejects_a_step_over_the_float_range(self, kwargs):
+        # lam / mu0, beta / mu0 or 1 / (2 mu0) would be inf in the first
+        # updates, and inf * 0 turns J to NaN.
+        with pytest.raises(DegenerateInput, match=r"lambda / mu0, beta / mu0 and 1 / \(2 mu0\) finite"):
+            DlrrParams(**kwargs)
 
     def test_mu_max_may_be_inf_but_not_nan(self):
         assert DlrrParams(mu_max=np.inf).mu_max == np.inf
