@@ -87,26 +87,18 @@ def _sq_distances(rows, ref):
     return np.add(np.subtract(sq_rows, d2, out=d2), np.sum(ref**2, axis=1), out=d2)
 
 
-def _nearest_centroid(train_x, train_y, all_x):
+def _nearest_centroid(train_x, train_y, k):
     classes = np.unique(train_y)
     centroids = np.stack([train_x[train_y == c].mean(axis=0) for c in classes])
-    pred = np.empty(all_x.shape[0], dtype=np.int64)
-
-    def chunk(s):
-        pred[s] = classes[np.argmin(_sq_distances(all_x[s], centroids), axis=1)]
-
-    _each_chunk(all_x.shape[0], _PREDICT_CHUNK, chunk)
-    return pred
+    return lambda rows: classes[np.argmin(_sq_distances(rows, centroids), axis=1)]
 
 
-def _knn(train_x, train_y, all_x, k):
+def _knn(train_x, train_y, k):
     check_options(knn_k=k)
     k = min(k, train_x.shape[0])
     n_classes = int(train_y.max())
-    pred = np.empty(all_x.shape[0], dtype=np.int64)
 
-    def chunk(s):
-        rows = all_x[s]
+    def rule(rows):
         n = rows.shape[0]
         d2 = _sq_distances(rows, train_x)
         # The k nearest are those within the k-th smallest distance, unless
@@ -121,14 +113,19 @@ def _knn(train_x, train_y, all_x, k):
         votes = np.bincount(cells.ravel(), minlength=n * (n_classes + 1))
         # argmax returns the first maximum, i.e. the smallest class id on ties.
         votes = votes.reshape(n, n_classes + 1)[:, 1:]
-        pred[s] = np.argmax(votes, axis=1) + 1
+        return np.argmax(votes, axis=1) + 1
 
-    _each_chunk(all_x.shape[0], _PREDICT_CHUNK, chunk)
-    return pred
+    return rule
 
 
-# The built-in classifiers by name, as (train_x, train_y, all_x, k) -> labels.
-CLASSIFIERS = {"nearest-centroid": lambda x, y, a, k: _nearest_centroid(x, y, a), "knn": _knn}
+def _predict(rule, all_x):
+    """rule's labels for the rows of all_x, by _PREDICT_CHUNK-row chunks."""
+    return np.concatenate(_each_chunk(all_x.shape[0], _PREDICT_CHUNK, lambda s: rule(all_x[s])))
+
+
+# The built-in classifiers by name, as (train_x, train_y, k) -> a rule, the
+# function rows -> labels that the training pixels define.
+CLASSIFIERS = {"nearest-centroid": _nearest_centroid, "knn": _knn}
 
 
 def check_classifier(kind):
@@ -154,7 +151,7 @@ def train_predict(features, tsplit, labels, kind="nearest-centroid", k=DEFAULT_K
     for c in range(1, labels.n_classes + 1):
         if not (train_y == c).any():
             raise DegenerateInput(f"class {c} has no training pixels")
-    pred = CLASSIFIERS[kind](all_x[train_idx], train_y, all_x, k)
+    pred = _predict(CLASSIFIERS[kind](all_x[train_idx], train_y, k), all_x)
     return LabelField(pred.reshape(labels.shape))
 
 

@@ -72,12 +72,13 @@ def _build_parser():
 
 def _resolve_config(name):
     """A config is a filesystem path or the name of a shipped preset
-    (with or without the .cfg suffix)."""
+    (with or without the .cfg suffix); a name with a directory part is
+    always a path."""
     if name is None:
         return {}
-    if not os.path.exists(name):
+    if not os.path.exists(name) and os.path.basename(name) == name:
         for candidate in (name, name + ".cfg"):
-            preset = os.path.join(_PRESET_DIR, os.path.basename(candidate))
+            preset = os.path.join(_PRESET_DIR, candidate)
             if os.path.exists(preset):
                 name = preset
                 break
@@ -135,7 +136,8 @@ def _cmd_decompose(args):
     cube = spio.load_cube(cube_path)
     partition = spio.load_partition(part_path)
     if partition.labels.shape != (cube.height, cube.width):
-        raise FormatError("partition raster does not match the cube dimensions")
+        raise FormatError("partition raster %s is %dx%d, cube %s is %dx%d"
+                          % (part_path, *partition.labels.shape, cube_path, cube.height, cube.width))
     restored, variations, trace, converged = solve(cube.x, partition.labels, params)
     os.makedirs(out_dir, exist_ok=True)
     spio.write_cube(HsiCube(cube.height, cube.width, restored), os.path.join(out_dir, "L.json"))
@@ -194,7 +196,8 @@ def _cmd_metrics(args):
     pred_grid = spio.load_raster(args.predictions)
     truth_grid = spio.load_raster(args.truth)
     if pred_grid.shape != truth_grid.shape:
-        raise FormatError("prediction and truth rasters have different shapes")
+        raise FormatError("prediction raster %s is %dx%d, truth raster %s is %dx%d"
+                          % (args.predictions, *pred_grid.shape, args.truth, *truth_grid.shape))
     # One consistent dense mapping across both rasters, truth ids first.
     (dense_truth, dense_pred), _ = first_appearance_ids(
         np.stack([truth_grid, pred_grid]), keep_zero=True

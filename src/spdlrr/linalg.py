@@ -38,9 +38,9 @@ def soft_threshold(x, eps):
 
 
 def _each_chunk(n, size, fn):
-    """Call fn(s) once for the slice s of every size-long chunk of
-    range(n), the last one possibly shorter; fn must write only its own
-    chunk's part of any output.
+    """[fn(s) for s in the slices of the size-long chunks of range(n)], the
+    last chunk possibly shorter; fn must write only its own chunk's part of
+    any output.
 
     Up to _WORKERS threads, the caller and a pool that lives only for this
     call (so no thread is left for os.fork to strand in a child process),
@@ -48,42 +48,36 @@ def _each_chunk(n, size, fn):
     a chunk: the chunks and each chunk's arithmetic are those of a serial
     loop, and numpy releases the GIL in the elementwise loops, reductions,
     matmuls and sorts that the chunks spend their time in."""
-    starts = range(0, n, size)
-    workers = max(1, min(_WORKERS, len(starts)))
+    chunks = [slice(start, min(start + size, n)) for start in range(0, n, size)]
+    results = [None] * len(chunks)
+    workers = max(1, min(_WORKERS, len(chunks)))
 
     def run(i):
-        for start in starts[i::workers]:
-            fn(slice(start, min(start + size, n)))
+        for j in range(i, len(chunks), workers):
+            results[j] = fn(chunks[j])
 
     if workers == 1:
         run(0)
-        return
+        return results
     with ThreadPoolExecutor(workers - 1) as pool:
         futures = [pool.submit(run, i) for i in range(1, workers)]
         run(0)
     for future in futures:
         future.result()
+    return results
 
 
 def _each_column_chunk(a, fn):
     """_each_chunk over the last axis of a, in _COLUMN_CHUNK-wide chunks."""
-    _each_chunk(a.shape[-1], _COLUMN_CHUNK, fn)
+    return _each_chunk(a.shape[-1], _COLUMN_CHUNK, fn)
 
 
 def extremes(a):
     """(min, max) of a non-empty a, as the min and max of its column chunks:
     the same values a.min() and a.max() give, NaN if a holds one."""
     a = np.atleast_1d(a)
-    found = np.empty((2, len(range(0, a.shape[-1], _COLUMN_CHUNK))), dtype=a.dtype)
-
-    def chunk(s):
-        part = a[..., s]
-        i = s.start // _COLUMN_CHUNK
-        found[0, i] = part.min()
-        found[1, i] = part.max()
-
-    _each_column_chunk(a, chunk)
-    return found[0].min(), found[1].max()
+    found = np.array(_each_column_chunk(a, lambda s: (a[..., s].min(), a[..., s].max())))
+    return found[:, 0].min(), found[:, 1].max()
 
 
 def all_finite(a):

@@ -191,19 +191,14 @@ def first_appearance_ids(values, keep_zero=False):
     each distinct value (except 0 under keep_zero) to its id, in id order.
     """
     values = np.asarray(values)
-    uniq, first, inverse = np.unique(values.ravel(), return_index=True, return_inverse=True)
-    if keep_zero:
-        zero = uniq == 0
-        first[zero] = -1  # ranks first, so it gets id 0
+    skip = int(keep_zero)  # a 0 put ahead of the values ranks first, with id 0
+    flat = np.concatenate([np.zeros(skip, dtype=values.dtype), values.ravel()])
+    uniq, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty(uniq.size, dtype=np.int64)
     rank[order] = np.arange(uniq.size)
-    if keep_zero and not zero.any():
-        rank += 1
-    mapping = dict(zip(uniq[order].tolist(), rank[order].tolist()))
-    if keep_zero:
-        mapping.pop(0, None)
-    return rank[inverse].reshape(values.shape), mapping
+    mapping = dict(zip(uniq[order][skip:].tolist(), range(skip, uniq.size)))
+    return rank[inverse[skip:]].reshape(values.shape), mapping
 
 
 def _enforce_connectivity(labels, mask):

@@ -170,7 +170,7 @@ class TestKnnSelection:
         train_y = data.draw(hnp.arrays(np.int64, n_train, elements=st.integers(1, 4)))
         k = data.draw(st.integers(1, n_train + 3))
         with mock.patch.object(classify, "_PREDICT_CHUNK", chunk):
-            got = classify._knn(train_x, train_y, all_x, k)
+            got = classify._predict(classify._knn(train_x, train_y, k), all_x)
         np.testing.assert_array_equal(got, reference_knn(train_x, train_y, all_x, k))
 
 
@@ -231,8 +231,8 @@ class TestWorkerCount:
         with mock.patch.object(classify, "_PREDICT_CHUNK", chunk), mock.patch.object(
             linalg, "_WORKERS", workers
         ):
-            knn = classify._knn(train_x, train_y, all_x, k)
-            centroid = classify._nearest_centroid(train_x, train_y, all_x)
+            knn = classify._predict(classify._knn(train_x, train_y, k), all_x)
+            centroid = classify._predict(classify._nearest_centroid(train_x, train_y, k), all_x)
             expected = serial_nearest_centroid(train_x, train_y, all_x)
         np.testing.assert_array_equal(knn, reference_knn(train_x, train_y, all_x, k))
         np.testing.assert_array_equal(centroid, expected)
@@ -257,8 +257,8 @@ class TestWorkerCount:
             for workers in (1, 2, 3):
                 with mock.patch.object(linalg, "_WORKERS", workers):
                     linalg._each_chunk(all_x.shape[0], classify._PREDICT_CHUNK, chunk)
-                    knn = classify._knn(train_x, train_y, all_x, 5)
-                    centroid = classify._nearest_centroid(train_x, train_y, all_x)
+                    knn = classify._predict(classify._knn(train_x, train_y, 5), all_x)
+                    centroid = classify._predict(classify._nearest_centroid(train_x, train_y, 5), all_x)
                 outputs.add(d2.tobytes() + knn.tobytes() + centroid.tobytes())
             print(len(outputs))
             """

@@ -132,6 +132,59 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    def test_config_with_a_directory_part_is_a_path(self, demo_dir, capsys):
+        argv = ["segment", "--cube", str(demo_dir / "cube.json"), "--out", str(demo_dir / "p.txt")]
+        missing = demo_dir / "nonexistent" / "indian_pines.cfg"
+        assert cli_main([*argv, "--config", str(missing)]) == 2
+        assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
+        assert not (demo_dir / "p.txt").exists()
+        # A bare name still falls back to the shipped preset (64 superpixels).
+        for name in ("indian_pines", "indian_pines.cfg"):
+            assert cli_main([*argv, "--config", name]) == 0
+            assert capsys.readouterr().out == "segment: 64 superpixels\n"
+
+    def test_decompose_strict_writes_its_files_then_exits_three(self, demo_dir, capsys):
+        part = str(demo_dir / "partition.txt")
+        cube = str(demo_dir / "cube.json")
+        assert cli_main(["segment", "--cube", cube, "--out", part, "--superpixels", "4"]) == 0
+        out = demo_dir / "d"
+        rc = cli_main(["decompose", "--cube", cube, "--partition", part, "--out-dir", str(out),
+                       "--lambda", "0.1667", "--max-iter", "2", "--strict"])
+        assert rc == 3
+        assert "solver did not converge (--strict)" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["E.json", "E.raw", "L.json", "L.raw", "trace.csv"]
+
+    def test_decompose_partition_of_another_shape_is_exit_two(self, demo_dir, capsys):
+        part = demo_dir / "part.txt"
+        spio.write_raster(np.ones((12, 13), int), str(part))
+        before = sorted(os.listdir(demo_dir))
+        rc = cli_main(["decompose", "--cube", str(demo_dir / "cube.json"), "--partition", str(part),
+                       "--out-dir", str(demo_dir / "d")])
+        assert rc == 2
+        assert (f"error: partition raster {part} is 12x13, cube {demo_dir / 'cube.json'} is 12x12"
+                in capsys.readouterr().err)
+        assert sorted(os.listdir(demo_dir)) == before
+
+    def test_metrics_rasters_of_different_shapes_are_exit_two(self, demo_dir, capsys):
+        pred = demo_dir / "pred.txt"
+        spio.write_raster(np.ones((12, 13), int), str(pred))
+        truth = demo_dir / "truth.txt"
+        assert cli_main(["metrics", str(pred), str(truth), "--out", str(demo_dir / "m.json")]) == 2
+        assert (f"error: prediction raster {pred} is 12x13, truth raster {truth} is 12x12"
+                in capsys.readouterr().err)
+        assert not (demo_dir / "m.json").exists()
+
+    def test_metrics_unlabeled_prediction_on_a_scored_pixel_is_exit_two(self, demo_dir, capsys):
+        truth = demo_dir / "truth.txt"
+        pred_grid = spio.load_raster(str(truth))
+        scored = np.flatnonzero(pred_grid.ravel() > 0)[0]
+        pred_grid.ravel()[scored] = 0
+        pred = demo_dir / "pred.txt"
+        spio.write_raster(pred_grid, str(pred))
+        assert cli_main(["metrics", str(pred), str(truth), "--out", str(demo_dir / "m.json")]) == 2
+        assert "error: predictions are unlabeled on scored pixels" in capsys.readouterr().err
+        assert not (demo_dir / "m.json").exists()
+
     def test_strict_flags_nonconvergence(self, demo_dir, capsys):
         rc = cli_main(
             classify_args(demo_dir, "strict", extra=["--strict", "--max-iter", "2"])

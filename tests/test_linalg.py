@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from spdlrr import (
@@ -205,6 +206,24 @@ class TestThinSvd:
         np.testing.assert_allclose(vt @ vt.T, np.eye(k), atol=1e-8)
         err = np.linalg.norm((u * s) @ vt - a) / max(1.0, np.linalg.norm(a))
         assert err <= 1e-8
+
+    def test_gesdd_failure_falls_back_to_gesvd(self):
+        a = random_matrix(7, 9, 5)
+        expected = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+        failure = np.linalg.LinAlgError("SVD did not converge")
+        with mock.patch.object(np.linalg, "svd", side_effect=failure) as gesdd:
+            got = thin_svd(a)
+        assert gesdd.call_count == 1
+        for g, e in zip(got, expected, strict=True):
+            assert np.array_equal(g, e)
+
+    def test_both_drivers_failing_is_svd_failure(self):
+        failure = np.linalg.LinAlgError("SVD did not converge")
+        with mock.patch.object(np.linalg, "svd", side_effect=failure), mock.patch.object(
+            scipy.linalg, "svd", side_effect=failure
+        ):
+            with pytest.raises(SvdFailure, match="did not converge"):
+                thin_svd(random_matrix(7, 9, 5))
 
 
 def svd_subgradient(a):
@@ -558,10 +577,16 @@ class TestEachChunk:
     @settings(max_examples=60, deadline=None)
     def test_every_chunk_runs_once(self, workers, n, size):
         seen = []
+
+        def chunk(s):
+            seen.append((s.start, s.stop))
+            return s.start, s.stop
+
         with mock.patch.object(linalg, "_WORKERS", workers):
-            linalg._each_chunk(n, size, lambda s: seen.append((s.start, s.stop)))
+            got = linalg._each_chunk(n, size, chunk)
         expected = [(i, min(i + size, n)) for i in range(0, n, size)]
         assert sorted(seen) == expected
+        assert got == expected  # each chunk's result, in chunk order
 
     def test_a_failing_chunk_is_reported(self):
         caller = threading.get_ident()
