@@ -42,12 +42,16 @@ def normalize(cube):
     (x - lo) / (hi - lo), chunk by chunk in place of one new array."""
     x = cube.x
     lo, hi = extremes(x)
-    if hi == lo:
+    # In Python floats a span beyond float64 is inf, with no RuntimeWarning.
+    span = float(hi) - float(lo)
+    if span == 0.0:
         raise DegenerateInput("cannot normalize a constant cube")
+    if np.isinf(span):
+        raise DegenerateInput(f"cannot normalize: the range from {lo} to {hi} overflows float64")
     out = np.empty_like(x)
 
     def chunk(s):
-        np.divide(np.subtract(x[:, s], lo, out=out[:, s]), hi - lo, out=out[:, s])
+        np.divide(np.subtract(x[:, s], lo, out=out[:, s]), span, out=out[:, s])
 
     _each_column_chunk(x, chunk)
     return HsiCube(cube.height, cube.width, out)

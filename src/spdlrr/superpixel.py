@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateInput, check_options
-from .linalg import _each_chunk, _each_column_chunk
+from .errors import DegenerateInput, NonFiniteData, check_options
+from .linalg import _each_chunk, _each_column_chunk, all_finite
 
 COMPACTNESS = 0.1
 KMEANS_SWEEPS = 10
@@ -45,16 +45,15 @@ class SuperpixelPartition:
         return int(self.labels.max()) + 1
 
     def validate(self):
-        """Check id contiguity, non-emptiness, and 4-connectivity."""
+        """Check id contiguity, non-emptiness, and 4-connectivity: nothing to cut."""
         if self.labels.min() < 0:
             raise ValueError("superpixel ids out of range")
         sizes = np.bincount(self.labels.ravel())
         if (sizes == 0).any():
             raise ValueError("superpixel ids must be contiguous and non-empty")
-        for sid in range(self.count):
-            _, parts = ndimage.label(self.labels == sid, structure=_FOUR_CONNECTED)
-            if parts != 1:
-                raise ValueError(f"superpixel {sid} is not 4-connected")
+        cut = _cut_fragments(self.labels)[0][1:-1, 1:-1] < 0
+        if cut.any():
+            raise ValueError(f"superpixel {self.labels[cut].min()} is not 4-connected")
 
 
 def project_base_image(cube):
@@ -201,60 +200,55 @@ def first_appearance_ids(values, keep_zero=False):
     return rank[inverse[skip:]].reshape(values.shape), mapping
 
 
-def _enforce_connectivity(labels, mask):
-    """Keep each label's largest 4-connected component and merge every other
-    component into the largest 4-adjacent region inside mask."""
-    out = labels.copy()
-    orphans = []
-    # Each label and fragment is handled inside its bounding box, where
+def _cut_fragments(labels):
+    """labels (-1 outside any region) padded with -1, so neighbour reads need
+    no bounds checks, and each id's 4-connected components but its largest
+    (the first on a tie) cut to -1; and the cut ones, by their first pixel."""
+    out = np.pad(labels, 1, constant_values=-1)
+    fragments = []
+    # Each id and fragment is handled inside its bounding box, where
     # row-major order is the global scan order.
-    boxes = ndimage.find_objects(labels + 1)
-    for sid in np.unique(labels[mask]):
-        box = boxes[sid]
-        comp, n_comp = ndimage.label(labels[box] == sid, structure=_FOUR_CONNECTED)
-        if n_comp <= 1:
+    for sid, box in enumerate(ndimage.find_objects(out + 1)):
+        if box is None:
             continue
+        comp = ndimage.label(out[box] == sid, structure=_FOUR_CONNECTED)[0]
         sizes = np.bincount(comp.ravel())[1:]
         main = int(np.argmax(sizes)) + 1
         for part, sub in enumerate(ndimage.find_objects(comp), 1):
             if part != main:
                 rs, cs = np.nonzero(comp[sub] == part)
                 pix = (rs + box[0].start + sub[0].start, cs + box[1].start + sub[1].start)
-                orphans.append(pix)
+                fragments.append(pix)
                 out[pix] = -1
-    if not orphans:
-        return out
-    # Deterministic order: by smallest flat pixel index.
-    h, w = labels.shape
-    orphans.sort(key=lambda pix: int(pix[0][0] * w + pix[1][0]))
+    fragments.sort(key=lambda pix: (pix[0][0], pix[1][0]))
+    return out, fragments
+
+
+def _enforce_connectivity(labels):
+    """Merge each component that _cut_fragments cuts, in turn, into its
+    4-adjacent region of largest current size, the lowest id on a tie; a round
+    in which none has a labeled neighbour makes the first a region of its own."""
+    out, pending = _cut_fragments(labels)
     counts = {int(s): int(c) for s, c in zip(*np.unique(out[out >= 0], return_counts=True))}
-    next_label = max(counts) + 1 if counts else 0
-    pending = orphans
     while pending:
         deferred = []
-        progressed = False
         for pix in pending:
             nr = np.concatenate((pix[0] - 1, pix[0] + 1, pix[0], pix[0]))
             nc = np.concatenate((pix[1], pix[1], pix[1] - 1, pix[1] + 1))
-            ok = (nr >= 0) & (nr < h) & (nc >= 0) & (nc < w)
-            nr, nc = nr[ok], nc[ok]
             vals = out[nr, nc]
-            neigh = np.unique(vals[mask[nr, nc] & (vals >= 0)]).tolist()
+            neigh = np.unique(vals[vals >= 0]).tolist()
             if not neigh:
                 deferred.append(pix)
                 continue
             target = max(neigh, key=lambda s: (counts[s], -s))
             out[pix] = target
             counts[target] += len(pix[0])
-            progressed = True
-        if deferred and not progressed:
-            # Isolated cluster of orphans: promote the first to a new region.
+        if len(deferred) == len(pending):
             pix = deferred.pop(0)
-            out[pix] = next_label
-            counts[next_label] = len(pix[0])
-            next_label += 1
+            counts[max(counts) + 1] = len(pix[0])
+            out[pix] = max(counts)
         pending = deferred
-    return out
+    return out[1:-1, 1:-1]
 
 
 def _slic(values, mask, target):
@@ -271,9 +265,19 @@ def _slic(values, mask, target):
     step = math.sqrt(h * w / centers.shape[0])
     labels = _kmeans_sweeps(values, mask, centers, step)
     labels[mask] = first_appearance_ids(labels[mask])[0]
-    labels = _enforce_connectivity(labels, mask)
+    labels = _enforce_connectivity(labels)
     labels[mask] = first_appearance_ids(labels[mask])[0]
     return labels
+
+
+def _base_image(base):
+    """base as a float64 array; ValueError unless 2-D, NonFiniteData unless finite."""
+    base = np.asarray(base, dtype=np.float64)
+    if base.ndim != 2:
+        raise ValueError(f"base image must be 2-D, not of shape {base.shape}")
+    if not all_finite(base):
+        raise NonFiniteData("base image entries must be finite")
+    return base
 
 
 def segment(base, target_count, seed=0):
@@ -283,7 +287,7 @@ def segment(base, target_count, seed=0):
     invariants and its size stays within [target_count / 2, 2 * target_count].
     seed is unused; it stays because bench/workloads.py passes it by position.
     """
-    base = np.asarray(base, dtype=np.float64)
+    base = _base_image(base)
     h, w = base.shape
     check_options(initial_superpixels=target_count)
     if target_count > h * w:
@@ -318,13 +322,14 @@ def refine(partition, predictions, delta, m_split, base, seed=0):
     it by position.
     """
     check_options(delta=delta, m_split=m_split)
-    base = np.asarray(base, dtype=np.float64)
+    base = _base_image(base)
     preds = np.asarray(predictions.labels)
-    if preds.shape != partition.labels.shape:
-        raise ValueError("prediction and partition shapes differ")
+    h, w = partition.labels.shape
+    for name, shape in (("prediction", preds.shape), ("base image", base.shape)):
+        if shape != (h, w):
+            raise ValueError(f"{name} and partition shapes differ: {shape} vs {(h, w)}")
     if (preds < 1).any():
         raise DegenerateInput("refine needs a predicted class for every pixel")
-    h, w = partition.labels.shape
     n_classes = int(preds.max())
     out = np.full((h, w), -1, dtype=np.int64)
     next_id = 0

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from spdlrr import (
     DegenerateInput,
     LabelField,
+    TrainSplit,
     evaluate,
     metrics_from_confusion,
     split,
@@ -27,6 +28,19 @@ def blob_instance(seed=5, h=6, w=10, sigma=0.1):
     labels = rng.integers(1, 4, size=(h, w))
     feats = centers[labels.ravel() - 1].T + sigma * rng.standard_normal((4, h * w))
     return feats, LabelField(labels)
+
+
+class TestLabelField:
+    @pytest.mark.parametrize(
+        "raster, message",
+        [
+            (np.ones((2, 2, 2), int), "labels must be a 2-d raster"),
+            (np.array([[1, -1]]), "labels must be non-negative"),
+        ],
+    )
+    def test_rejects_bad_rasters(self, raster, message):
+        with pytest.raises(ValueError, match=message):
+            LabelField(raster)
 
 
 class TestSplit:
@@ -129,6 +143,18 @@ class TestTrainPredict:
         for kind in ("svm", lambda tx, ty, ax: np.full(ax.shape[0], 2)):
             with pytest.raises(ValueError, match="unknown classifier kind"):
                 train_predict(feats, s, field, kind)
+
+    def test_empty_training_mask_rejected(self):
+        feats, field = blob_instance()
+        none = np.zeros(field.shape, bool)
+        with pytest.raises(DegenerateInput, match="empty training mask"):
+            train_predict(feats, TrainSplit(none, field.labels > 0, 0, 0.3), field)
+
+    def test_class_without_training_pixels_rejected(self):
+        feats, field = blob_instance()
+        only_class_1 = field.labels == 1
+        with pytest.raises(DegenerateInput, match="class 2 has no training pixels"):
+            train_predict(feats, TrainSplit(only_class_1, ~only_class_1, 0, 0.3), field)
 
     @given(st.integers(0, 200))
     @settings(max_examples=20, deadline=None)
@@ -359,6 +385,27 @@ class TestEvaluate:
         _, field = blob_instance()
         with pytest.raises(DegenerateInput):
             evaluate(field, field, np.zeros(field.shape, bool))
+
+    def test_mask_over_an_unlabeled_pixel_rejected(self):
+        truth = LabelField(np.array([[1, 2, 0]]))
+        pred = LabelField(np.array([[1, 2, 1]]))
+        with pytest.raises(DegenerateInput, match="evaluation mask includes unlabeled pixels"):
+            evaluate(pred, truth, np.ones((1, 3), bool))
+
+    def test_unlabeled_prediction_on_the_mask_rejected(self):
+        truth = LabelField(np.array([[1, 2, 2]]))
+        pred = LabelField(np.array([[1, 0, 2]]))
+        with pytest.raises(DegenerateInput, match="predictions must be classes >= 1 on the mask"):
+            evaluate(pred, truth, np.ones((1, 3), bool))
+
+    def test_all_zero_confusion_rejected(self):
+        with pytest.raises(DegenerateInput, match="empty confusion matrix"):
+            metrics_from_confusion(np.zeros((2, 2)))
+
+    def test_chance_agreement_one_is_kappa_one(self):
+        # One class, all agreed: p_e = 1, and (oa - p_e) / (1 - p_e) is 0 / 0.
+        report = metrics_from_confusion([[5]])
+        assert (report.oa, report.aa, report.kappa) == (1.0, 1.0, 1.0)
 
     def test_json_payload_shape(self):
         report = metrics_from_confusion([[40, 10], [20, 30]])

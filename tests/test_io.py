@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -261,6 +262,20 @@ class TestRenderMap:
     def test_gray_mapping_injective_up_to_255(self):
         levels = spio.class_gray_levels(255)
         assert len(set(levels)) == 256
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_replace_leaves_the_target_and_no_temporary(self, tmp_path, existing):
+        target = tmp_path / "out.txt"
+        if existing:
+            target.write_bytes(b"old bytes")
+        with mock.patch.object(spio.os, "replace", side_effect=OSError("replace failed")):
+            with pytest.raises(OSError, match="replace failed"):
+                spio._atomic_write_bytes(str(target), b"new bytes")
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["out.txt"] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"old bytes"
 
 
 class TestTraceCsv:

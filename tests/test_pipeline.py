@@ -2,6 +2,7 @@ import hashlib
 import os
 import runpy
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,27 @@ class TestNormalize:
     def test_constant_rejected(self):
         with pytest.raises(DegenerateInput):
             normalize(HsiCube(1, 2, np.full((3, 2), 4.0)))
+
+    def test_range_beyond_float64_rejected(self):
+        # Every entry is finite; only hi - lo overflows.
+        cube = HsiCube(1, 2, np.array([[-1e308, 1e308]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInput, match=r"range from -1e\+308 to 1e\+308 overflows"):
+                normalize(cube)
+
+
+class TestHsiCube:
+    @pytest.mark.parametrize(
+        "height, width, x, message",
+        [
+            (0, 2, np.ones((3, 0)), "cube dimensions must be positive"),
+            (2, 2, np.ones((3, 5)), r"pixel matrix of shape \(3, 5\) does not match 2x2 image"),
+        ],
+    )
+    def test_rejects_bad_shapes(self, height, width, x, message):
+        with pytest.raises(ValueError, match=message):
+            HsiCube(height, width, x)
 
 
 class TestTwoClassCube:

@@ -10,6 +10,7 @@ from spdlrr import (
     DegenerateInput,
     HsiCube,
     LabelField,
+    NonFiniteData,
     project_base_image,
     refine,
     segment,
@@ -74,6 +75,39 @@ class TestValidate:
         part = SuperpixelPartition(labels)
         assert part.count == count  # one more than the largest id
         with pytest.raises(ValueError, match=message):
+            part.validate()
+
+    def test_names_a_disconnected_id_that_the_pass_rejoins(self):
+        # 0's lone pixel at the top right rejoins 0 through 1's stray pixel,
+        # which the pass merges into 0 first: only a pixel of 1 moves.
+        labels = np.array([[0, 0, 0, 1, 0], [0, 0, 0, 2, 2], [1, 1, 1, 2, 2]])
+        moved = superpixel._enforce_connectivity(labels) != labels
+        assert labels[moved].tolist() == [1]
+        with pytest.raises(ValueError, match="superpixel 0 is not 4-connected"):
+            SuperpixelPartition(labels).validate()
+
+    @given(
+        hnp.arrays(
+            np.int64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+            elements=st.integers(0, 4),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_valid_iff_the_pass_moves_nothing_and_names_the_lowest_id(self, grid):
+        labels = first_appearance_ids(grid)[0]
+        disconnected = [
+            s
+            for s in range(labels.max() + 1)
+            if ndimage.label(labels == s, structure=FOUR)[1] > 1
+        ]
+        unchanged = np.array_equal(superpixel._enforce_connectivity(labels), labels)
+        assert unchanged == (not disconnected)
+        part = SuperpixelPartition(labels)
+        if disconnected:
+            with pytest.raises(ValueError, match=f"^superpixel {disconnected[0]} is not 4-connected$"):
+                part.validate()
+        else:
             part.validate()
 
 
@@ -145,6 +179,13 @@ class TestSegment:
         with pytest.raises(DegenerateInput):
             segment(img, 17)
 
+    def test_rejects_bad_base_images(self):
+        with pytest.raises(ValueError, match=r"base image must be 2-D, not of shape \(4,\)"):
+            segment(np.zeros(4), 2)
+        for value in (np.nan, np.inf):
+            with pytest.raises(NonFiniteData, match="base image entries must be finite"):
+                segment(np.full((4, 4), value), 2)
+
     @given(
         st.integers(0, 1000),
         st.integers(5, 16),
@@ -199,6 +240,30 @@ class TestRefine:
         preds[0, 0] = 0
         with pytest.raises(DegenerateInput):
             refine(part, LabelField(preds), 0.7, 2, np.full((12, 12), 0.5))
+
+    @pytest.mark.parametrize(
+        "preds_shape, base, error, message",
+        [
+            (
+                (12, 11),
+                np.full((12, 12), 0.5),
+                ValueError,
+                r"prediction and partition shapes differ: \(12, 11\) vs \(12, 12\)",
+            ),
+            (
+                (12, 12),
+                np.full((3, 3), 0.5),
+                ValueError,
+                r"base image and partition shapes differ: \(3, 3\) vs \(12, 12\)",
+            ),
+            ((12, 12), np.full(144, 0.5), ValueError, r"must be 2-D, not of shape \(144,\)"),
+            ((12, 12), np.full((12, 12), np.nan), NonFiniteData, "entries must be finite"),
+        ],
+    )
+    def test_rejects_bad_predictions_and_base_images(self, preds_shape, base, error, message):
+        preds = LabelField(np.arange(np.prod(preds_shape)).reshape(preds_shape) % 2 + 1)
+        with pytest.raises(error, match=message):
+            refine(quadrant_partition(), preds, 0.9, 2, base)
 
     def test_empty_superpixel_id_rejected(self):
         labels = quadrant_partition().labels
@@ -363,7 +428,9 @@ def reference_refine(partition, predictions, delta, m_split, base):
         r0, r1, c0, c1 = superpixel._enclosing_square(rs, cs, h, w)
         window = np.s_[r0 : r1 + 1, c0 : c1 + 1]
         with mock.patch.object(
-            superpixel, "_enforce_connectivity", reference_enforce_connectivity
+            superpixel,
+            "_enforce_connectivity",
+            lambda labels: reference_enforce_connectivity(labels, labels >= 0),
         ):
             sub_labels = superpixel._slic(base[window], member[window], m_split)
         inside = member[window]
@@ -405,7 +472,7 @@ class TestBoundingBoxEquivalence:
             mask = ndimage.gaussian_filter(rng.standard_normal(img.shape), 4) > -0.02
         labels = kmeans_labels(img, mask, 40)
         assert fragment_count(labels, mask) >= 200
-        got = superpixel._enforce_connectivity(labels, mask)
+        got = superpixel._enforce_connectivity(labels)
         np.testing.assert_array_equal(got, reference_enforce_connectivity(labels, mask))
 
     @pytest.mark.parametrize("seed", [3, 4])
