@@ -12,8 +12,9 @@ demo at the top of the work directory, and a 48x48x32 scene in its
 48x48x32/ subdirectory, which is large enough for three classifier chunks
 and superpixel blocks of over a hundred pixels.  Its five class stripes
 make refinement change the blocks between rounds and the two classifiers
-disagree on some pixels.  BLAS is pinned to one thread; float outputs can
-still differ across BLAS builds, so compare runs made on one machine.
+disagree on some pixels; one classify call there runs beta = 0.  BLAS is
+pinned to one thread; float outputs can still differ across BLAS builds, so
+compare runs made on one machine.
 """
 
 import os
@@ -57,6 +58,9 @@ SCENES = [
          "--out-dir", "decompose", "--lambda", "0.1667"],
         classify("classify-centroid"),
         classify("classify-knn", "--classifier", "knn"),
+        # beta = 0: per-block robust PCA, which every preset and bench
+        # workload (all beta = 1) leaves unrun.
+        classify("classify-beta0", "--beta", "0"),
     ]),
 ]
 

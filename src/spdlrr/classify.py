@@ -144,6 +144,8 @@ def train_predict(features, tsplit, labels, kind="nearest-centroid", k=DEFAULT_K
     check_classifier(kind)
     all_x = np.asarray(features, dtype=np.float64).T
     flat = labels.labels.ravel()
+    if all_x.shape[0] != flat.size:
+        raise ValueError(f"features have {all_x.shape[0]} columns, the label raster {flat.size} pixels")
     train_idx = np.flatnonzero(tsplit.train_mask.ravel())
     train_y = flat[train_idx]
     if train_y.size == 0:
@@ -205,6 +207,8 @@ def metrics_from_confusion(confusion):
 def evaluate(predictions, truth, mask):
     """Score predictions against ground truth over the masked pixels."""
     mask = np.asarray(mask, dtype=bool)
+    if not predictions.shape == truth.shape == mask.shape:
+        raise ValueError(f"shapes differ: predictions {predictions.shape}, truth {truth.shape}, mask {mask.shape}")
     t = truth.labels[mask]
     p = predictions.labels[mask]
     if t.size == 0:

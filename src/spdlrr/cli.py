@@ -79,7 +79,7 @@ def _resolve_config(name):
     if not os.path.exists(name) and os.path.basename(name) == name:
         for candidate in (name, name + ".cfg"):
             preset = os.path.join(_PRESET_DIR, candidate)
-            if os.path.exists(preset):
+            if os.path.isfile(preset):
                 name = preset
                 break
     return spio.load_config(name)

@@ -1,5 +1,6 @@
 """Hyperspectral cube container and global normalization."""
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,8 @@ class HsiCube:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
-        if self.height < 1 or self.width < 1:
-            raise ValueError("cube dimensions must be positive")
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (self.height, self.width)):
+            raise ValueError(f"cube dimensions must be positive integers, not {self.height}x{self.width}")
         if self.x.ndim != 2 or self.x.shape[1] != self.height * self.width:
             raise ValueError(
                 f"pixel matrix of shape {self.x.shape} does not match "

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the run options' rules."""
 
 import math
+import numbers
 
 
 class SpdlrrError(Exception):
@@ -44,12 +45,17 @@ OPTION_RULES = {
     "beta": (lambda v: 0 <= v < math.inf, "must be finite and non-negative"),
     "rho": (lambda v: 1 < v < math.inf, "must be finite and above 1"),
 }
+INTEGER_OPTIONS = ("t_max", "initial_superpixels", "m_split", "knn_k", "max_iter", "seed")
 
 
 def check_options(**values):
-    """Raise DegenerateInput for the first value, by field name, that breaks
+    """Raise DegenerateInput for the first value, by field name, that is no
+    integer (numpy integers are) but one of INTEGER_OPTIONS, or that breaks
     its OPTION_RULES rule, naming the option by its config key.  Names
     without a rule (a dataclass's other fields) pass."""
     for name, value in values.items():
+        key = CONFIG_NAMES.get(name, name)
+        if name in INTEGER_OPTIONS and not isinstance(value, numbers.Integral):
+            raise DegenerateInput(f"{key} must be an integer, not {value}")
         if name in OPTION_RULES and not OPTION_RULES[name][0](value):
-            raise DegenerateInput(f"{CONFIG_NAMES.get(name, name)} {OPTION_RULES[name][1]}, not {value}")
+            raise DegenerateInput(f"{key} {OPTION_RULES[name][1]}, not {value}")

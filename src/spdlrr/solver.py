@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInput, SolverDiverged, SvdFailure, check_options
+from .errors import DegenerateInput, NonFiniteData, SolverDiverged, SvdFailure, check_options
 from .linalg import all_finite, max_norm, nuclear_subgradient, soft_threshold, svt
 from .linalg import nuclear_norm  # noqa: F401  (for bench/tracing.py)
 
@@ -159,10 +159,8 @@ def update_J(state, beta):
     is replaced by its tangent at the previous iteration's J, giving
     J = (beta/mu) * J_sub - Y2/mu + L.  For beta > 0 the new J is factored
     once (nuclear_subgradient) into J_sub, J_norm and J_gram."""
-    if beta == 0.0:
-        state.J = state.L - state.Y2 / state.mu
-    else:
-        state.J = (beta / state.mu) * state.J_sub - state.Y2 / state.mu + state.L
+    state.J = (beta / state.mu) * state.J_sub - state.Y2 / state.mu + state.L
+    if beta:
         state.J_sub = None  # frees the old subgradient before the new J is factored
         state.J_sub, state.J_norm, state.J_gram = nuclear_subgradient(state.J)
 
@@ -229,7 +227,7 @@ def solve(x, labels, params):
     if x.ndim != 2 or x.size == 0:
         raise ValueError(f"x must be a non-empty 2-D matrix, not shape {x.shape}")
     if not all_finite(x):
-        raise ValueError("x must be finite")
+        raise NonFiniteData("x must be finite")
     if np.size(labels) != x.shape[1]:
         raise ValueError(f"need one block id per column of x: {np.size(labels)} for {x.shape[1]}")
     blocks = column_blocks(labels)

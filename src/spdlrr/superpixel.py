@@ -32,12 +32,16 @@ _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 @dataclass
 class SuperpixelPartition:
-    """Per-pixel superpixel ids, contiguous 0..count-1."""
+    """Per-pixel superpixel ids, contiguous 0..count-1: checked when built."""
 
     labels: np.ndarray
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.min(initial=0) < 0:
+            raise ValueError("superpixel ids out of range")
+        if not np.bincount(self.labels.ravel(), minlength=1).all():
+            raise ValueError("superpixel ids must be contiguous and non-empty")
 
     @property
     def count(self):
@@ -45,12 +49,7 @@ class SuperpixelPartition:
         return int(self.labels.max()) + 1
 
     def validate(self):
-        """Check id contiguity, non-emptiness, and 4-connectivity: nothing to cut."""
-        if self.labels.min() < 0:
-            raise ValueError("superpixel ids out of range")
-        sizes = np.bincount(self.labels.ravel())
-        if (sizes == 0).any():
-            raise ValueError("superpixel ids must be contiguous and non-empty")
+        """Check that each superpixel is 4-connected: nothing to cut."""
         cut = _cut_fragments(self.labels)[0][1:-1, 1:-1] < 0
         if cut.any():
             raise ValueError(f"superpixel {self.labels[cut].min()} is not 4-connected")
@@ -209,8 +208,6 @@ def _cut_fragments(labels):
     # Each id and fragment is handled inside its bounding box, where
     # row-major order is the global scan order.
     for sid, box in enumerate(ndimage.find_objects(out + 1)):
-        if box is None:
-            continue
         comp = ndimage.label(out[box] == sid, structure=_FOUR_CONNECTED)[0]
         sizes = np.bincount(comp.ravel())[1:]
         main = int(np.argmax(sizes)) + 1
@@ -334,8 +331,6 @@ def refine(partition, predictions, delta, m_split, base, seed=0):
     out = np.full((h, w), -1, dtype=np.int64)
     next_id = 0
     for sid, box in enumerate(ndimage.find_objects(partition.labels + 1)):
-        if box is None:
-            raise DegenerateInput(f"superpixel {sid} has no pixels")
         member = partition.labels[box] == sid
         hist = np.bincount(preds[box][member], minlength=n_classes + 1)[1:]
         if hist.max() / hist.sum() >= delta:

@@ -156,6 +156,13 @@ class TestTrainPredict:
         with pytest.raises(DegenerateInput, match="class 2 has no training pixels"):
             train_predict(feats, TrainSplit(only_class_1, ~only_class_1, 0, 0.3), field)
 
+    @pytest.mark.parametrize("columns", [100, 200])
+    def test_feature_columns_not_one_per_pixel_rejected(self, columns):
+        _, field = blob_instance(h=12, w=12)
+        s = split(field, 0.3, seed=2)
+        with pytest.raises(ValueError, match=f"^features have {columns} columns, the label raster 144 pixels$"):
+            train_predict(np.ones((4, columns)), s, field)
+
     @given(st.integers(0, 200))
     @settings(max_examples=20, deadline=None)
     def test_centroid_rule_shift_invariant(self, seed):
@@ -385,6 +392,14 @@ class TestEvaluate:
         _, field = blob_instance()
         with pytest.raises(DegenerateInput):
             evaluate(field, field, np.zeros(field.shape, bool))
+
+    def test_shapes_that_differ_rejected(self):
+        _, truth = blob_instance(h=12, w=12)
+        pred = LabelField(np.ones((3, 3), int))
+        with pytest.raises(ValueError, match=r"^shapes differ: predictions \(3, 3\), truth \(12, 12\), mask \(3, 3\)$"):
+            evaluate(pred, truth, np.ones((3, 3), bool))
+        with pytest.raises(ValueError, match=r"mask \(12, 11\)$"):
+            evaluate(truth, truth, np.ones((12, 11), bool))
 
     def test_mask_over_an_unlabeled_pixel_rejected(self):
         truth = LabelField(np.array([[1, 2, 0]]))

@@ -143,6 +143,14 @@ class TestExitCodes:
             assert cli_main([*argv, "--config", name]) == 0
             assert capsys.readouterr().out == "segment: 64 superpixels\n"
 
+    def test_empty_config_name_is_a_missing_file(self, demo_dir, capsys):
+        # The preset directory is no preset: the error names the value given.
+        argv = ["segment", "--cube", str(demo_dir / "cube.json"), "--out", str(demo_dir / "p.txt")]
+        assert cli_main([*argv, "--config", ""]) == 2
+        err = capsys.readouterr().err
+        assert "No such file or directory: ''" in err and "configs" not in err
+        assert not (demo_dir / "p.txt").exists()
+
     def test_decompose_strict_writes_its_files_then_exits_three(self, demo_dir, capsys):
         part = str(demo_dir / "partition.txt")
         cube = str(demo_dir / "cube.json")

@@ -57,11 +57,17 @@ class TestHsiCube:
         [
             (0, 2, np.ones((3, 0)), "cube dimensions must be positive"),
             (2, 2, np.ones((3, 5)), r"pixel matrix of shape \(3, 5\) does not match 2x2 image"),
+            (12.0, 12, np.ones((3, 144)), "cube dimensions must be positive integers, not 12.0x12"),
+            (2, 1.5, np.ones((3, 3)), "cube dimensions must be positive integers, not 2x1.5"),
         ],
     )
     def test_rejects_bad_shapes(self, height, width, x, message):
         with pytest.raises(ValueError, match=message):
             HsiCube(height, width, x)
+
+    def test_numpy_integer_dimensions_pass(self):
+        cube = HsiCube(np.int64(2), np.uint8(3), np.ones((1, 6)))
+        assert (cube.height, cube.width) == (2, 3)
 
 
 class TestTwoClassCube:
@@ -132,6 +138,12 @@ class TestConfig:
             ({"delta": 1.5}, "delta must lie in (0, 1], not 1.5"),
             ({"m_split": 0}, "m_split must be at least 1, not 0"),
             ({"seed": -1}, "seed must be non-negative, not -1"),
+            ({"t_max": 2.5}, "t_max must be an integer, not 2.5"),
+            ({"initial_superpixels": 2.5}, "superpixels must be an integer, not 2.5"),
+            ({"m_split": 3.0}, "m_split must be an integer, not 3.0"),
+            ({"knn_k": 2.5}, "knn_k must be an integer, not 2.5"),
+            ({"seed": 1.5}, "seed must be an integer, not 1.5"),
+            ({"t_max": np.nan}, "t_max must be an integer, not nan"),
         ],
     )
     def test_each_rule_names_its_config_key(self, kwargs, message):
@@ -148,6 +160,9 @@ class TestConfig:
             (lambda: refine(partition, labels, 0.5, 0, np.zeros((1, 4))), {"m_split": 0}),
             (lambda: split(labels, 1.5, 0), {"split_percent": 1.5}),
             (lambda: train_predict(np.eye(4), split(labels, 0.5, 0), labels, "knn", k=0), {"knn_k": 0}),
+            (lambda: segment(np.zeros((2, 2)), 2.5), {"initial_superpixels": 2.5}),
+            (lambda: refine(partition, labels, 0.5, 1.5, np.zeros((1, 4))), {"m_split": 1.5}),
+            (lambda: train_predict(np.eye(4), split(labels, 0.5, 0), labels, "knn", k=2.5), {"knn_k": 2.5}),
         ]
         for call, kwargs in calls:
             with pytest.raises(DegenerateInput) as from_config:
@@ -155,6 +170,13 @@ class TestConfig:
             with pytest.raises(DegenerateInput) as from_call:
                 call()
             assert str(from_call.value) == str(from_config.value)
+
+    def test_numpy_integers_pass(self):
+        config = PipelineConfig(
+            t_max=np.int64(2), initial_superpixels=np.int32(8), m_split=np.uint8(2),
+            knn_k=np.int16(3), seed=np.uint64(7), dlrr=DlrrParams(max_iter=np.int64(5)),
+        )
+        assert (config.t_max, config.seed, config.dlrr.max_iter) == (2, 7, 5)
 
     def test_unknown_classifier_rejected(self):
         with pytest.raises(ValueError, match="unknown classifier kind 'foo'"):

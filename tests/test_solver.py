@@ -10,6 +10,7 @@ import spdlrr.solver
 from spdlrr import (
     DegenerateInput,
     DlrrParams,
+    NonFiniteData,
     SolverDiverged,
     SolverState,
     SvdFailure,
@@ -187,6 +188,8 @@ class TestParams:
             {"lam": 0.1, "mu0": 2e12},
             {"lam": 0.1, "eps": 0.0},
             {"lam": 0.1, "max_iter": 0},
+            {"lam": 0.1, "max_iter": 2.5},
+            {"lam": 0.1, "max_iter": 500.0},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -259,6 +262,12 @@ class TestMalformedIds:
         x = np.ones((4, 12))
         with pytest.raises(ValueError, match=message):
             solve(x, labels, DlrrParams(lam=0.1))
+
+    def test_solve_rejects_non_finite_x_as_non_finite_data(self):
+        x = np.ones((4, 12))
+        x[2, 5] = np.inf
+        with pytest.raises(NonFiniteData, match="^x must be finite$"):
+            solve(x, np.zeros(12, dtype=int), DlrrParams(lam=0.1))
 
     @pytest.mark.parametrize(
         "shape",

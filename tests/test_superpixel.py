@@ -72,10 +72,35 @@ class TestValidate:
             labels[labels == 3] = 4  # id 3 has no pixels
         elif edit == "disconnected":
             labels[11, 11] = 0  # a lone pixel of 0 inside quadrant 3
-        part = SuperpixelPartition(labels)
-        assert part.count == count  # one more than the largest id
-        with pytest.raises(ValueError, match=message):
-            part.validate()
+        assert labels.max() + 1 == count  # the count the ids claim
+        if edit == "disconnected":
+            part = SuperpixelPartition(labels)
+            with pytest.raises(ValueError, match=message):
+                part.validate()
+        else:
+            # Bad ids fail where the partition is built.
+            with pytest.raises(ValueError, match=message):
+                SuperpixelPartition(labels)
+
+    @given(
+        hnp.arrays(
+            np.int64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+            elements=st.integers(-1, 4),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_rejects_iff_an_id_is_negative_or_unused(self, labels):
+        if labels.size and labels.min() < 0:
+            with pytest.raises(ValueError, match="^superpixel ids out of range$"):
+                SuperpixelPartition(labels)
+        elif labels.size == 0 or len(np.unique(labels)) <= labels.max():
+            with pytest.raises(ValueError, match="^superpixel ids must be contiguous and non-empty$"):
+                SuperpixelPartition(labels)
+        else:
+            part = SuperpixelPartition(labels)
+            assert part.count == len(np.unique(labels))
+            np.testing.assert_array_equal(part.labels, labels)
 
     def test_names_a_disconnected_id_that_the_pass_rejoins(self):
         # 0's lone pixel at the top right rejoins 0 through 1's stray pixel,
@@ -266,11 +291,10 @@ class TestRefine:
             refine(quadrant_partition(), preds, 0.9, 2, base)
 
     def test_empty_superpixel_id_rejected(self):
+        # refine needs no check of its own: such a partition cannot be built.
         labels = quadrant_partition().labels
-        part = SuperpixelPartition(np.where(labels == 3, 4, labels))  # id 3 has no pixels
-        preds = LabelField(np.ones((12, 12), int))
-        with pytest.raises(DegenerateInput, match="superpixel 3 has no pixels"):
-            refine(part, preds, 0.7, 2, np.full((12, 12), 0.5))
+        with pytest.raises(ValueError, match="superpixel ids must be contiguous and non-empty"):
+            SuperpixelPartition(np.where(labels == 3, 4, labels))  # id 3 has no pixels
 
     def test_small_noisy_superpixel_becomes_singletons(self):
         labels = np.zeros((2, 3), int)
