@@ -24,14 +24,15 @@ _PREDICT_CHUNK = 1024
 
 @dataclass
 class LabelField:
-    """Per-pixel class ids on the image grid: 0 = unlabeled, classes 1..C."""
+    """Per-pixel integer class ids on the 2-D image grid: 0 = unlabeled, classes 1..C."""
 
     labels: np.ndarray
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.ndim != 2:
-            raise ValueError("labels must be a 2-d raster")
+        labels = np.asarray(self.labels)
+        if labels.ndim != 2 or labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be a 2-d raster of integers, not {labels.dtype} {labels.shape}")
+        self.labels = labels.astype(np.int64, copy=False)
         if (self.labels < 0).any():
             raise ValueError("labels must be non-negative")
 
@@ -57,7 +58,7 @@ class TrainSplit:
 def split(labels, percent, seed):
     """Draw max(1, ceil(percent * n_c)) training pixels per class, uniformly
     without replacement; the remaining labeled pixels become test pixels."""
-    check_options(split_percent=percent)
+    check_options(split_percent=percent, seed=seed)
     flat = labels.labels.ravel()
     n_classes = labels.n_classes
     if n_classes < 2:
@@ -136,12 +137,14 @@ def check_classifier(kind):
 
 def train_predict(features, tsplit, labels, kind="nearest-centroid", k=DEFAULT_KNN_K):
     """Train on the split's training pixels and predict a class for every
-    pixel.
+    pixel.  A train mask not of the label raster's shape raises ValueError.
 
     `features` is the bands x pixels matrix; `kind` is a CLASSIFIERS name,
     "nearest-centroid" or "knn".
     """
     check_classifier(kind)
+    if tsplit.train_mask.shape != labels.shape:
+        raise ValueError(f"shapes differ: train mask {tsplit.train_mask.shape}, labels {labels.shape}")
     all_x = np.asarray(features, dtype=np.float64).T
     flat = labels.labels.ravel()
     if all_x.shape[0] != flat.size:

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DegenerateInput, NonFiniteData, SolverDiverged, SvdFailure, check_options
 from .linalg import all_finite, max_norm, nuclear_subgradient, soft_threshold, svt
 from .linalg import nuclear_norm  # noqa: F401  (for bench/tracing.py)
+from .superpixel import SuperpixelPartition
 
 
 @dataclass
@@ -108,19 +109,10 @@ def block_target(state, x):
 
 
 def column_blocks(labels):
-    """Each block's ascending column indices, in block id order, from one
-    integer block id per column (a 1-D array or the H x W raster, read in
-    row-major order).  The ids must be 0..S-1, each labeling a column."""
-    labels = np.ravel(labels)
-    if labels.dtype.kind not in "iu":
-        raise ValueError(f"block ids must be integers, not {labels.dtype}")
-    labels = labels.astype(np.intp, casting="same_kind", copy=False)
-    if labels.size == 0 or labels.min() < 0 or labels.max() >= labels.size:
-        raise ValueError("block ids must lie in 0..S-1 for S <= the column count")
-    sizes = np.bincount(labels)
-    if not sizes.all():
-        raise ValueError(f"block id {int(np.argmin(sizes))} labels no column")
-    return np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+    """Each block's ascending column indices, in block id order, from block
+    ids that make a one-row SuperpixelPartition when read in row-major order."""
+    ids = SuperpixelPartition(np.reshape(labels, (1, -1))).labels[0]
+    return np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1])
 
 
 def update_L_blocks(state, x, blocks):

@@ -32,12 +32,15 @@ _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 @dataclass
 class SuperpixelPartition:
-    """Per-pixel superpixel ids, contiguous 0..count-1: checked when built."""
+    """Per-pixel superpixel ids, a 2-D integer raster of 0..count-1: checked when built."""
 
     labels: np.ndarray
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        ids = np.asarray(self.labels)
+        if ids.ndim != 2 or ids.dtype.kind not in "iu":
+            raise ValueError(f"superpixel ids must be integers in a 2-d raster, not {ids.dtype} {ids.shape}")
+        self.labels = ids.astype(np.int64, copy=False)
         if self.labels.min(initial=0) < 0:
             raise ValueError("superpixel ids out of range")
         if not np.bincount(self.labels.ravel(), minlength=1).all():

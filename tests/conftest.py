@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spdlrr import DlrrParams, PipelineConfig, run, solve
 from spdlrr.synthetic import rpca_instance, two_class_cube, two_subspace_matrix
@@ -21,6 +23,24 @@ CUBE_LAM = 1.0 / 6.0
 def single_block(n):
     """Block ids putting all n columns in block 0."""
     return np.zeros(n, dtype=np.int64)
+
+
+# Elements of each candidate id dtype: negative ids, whole and fractional
+# floats, and bools are all in reach.
+_ID_ELEMENTS = {
+    np.int64: st.integers(-1, 4),
+    np.uint8: st.integers(0, 4),
+    np.float64: st.sampled_from([0.0, 1.0, 2.0, 0.5, 1.7]),
+    np.bool_: st.booleans(),
+}
+
+
+@st.composite
+def id_arrays(draw):
+    """Small 0-d to 3-d arrays of int64, uint8, float64 or bool ids."""
+    dtype = draw(st.sampled_from(list(_ID_ELEMENTS)))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    return draw(hnp.arrays(dtype, shape, elements=_ID_ELEMENTS[dtype]))
 
 
 @pytest.fixture(scope="session")

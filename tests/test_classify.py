@@ -36,6 +36,10 @@ class TestLabelField:
         [
             (np.ones((2, 2, 2), int), "labels must be a 2-d raster"),
             (np.array([[1, -1]]), "labels must be non-negative"),
+            ([[1.7, 2.2]], r"^labels must be a 2-d raster of integers, not float64 \(1, 2\)$"),
+            (np.array([[True, False]]), r"^labels must be a 2-d raster of integers, not bool \(1, 2\)$"),
+            (np.ones(4, int), r"^labels must be a 2-d raster of integers, not int64 \(4,\)$"),
+            (1, r"^labels must be a 2-d raster of integers, not int64 \(\)$"),
         ],
     )
     def test_rejects_bad_rasters(self, raster, message):
@@ -155,6 +159,22 @@ class TestTrainPredict:
         only_class_1 = field.labels == 1
         with pytest.raises(DegenerateInput, match="class 2 has no training pixels"):
             train_predict(feats, TrainSplit(only_class_1, ~only_class_1, 0, 0.3), field)
+
+    @pytest.mark.parametrize("side", [2, 5])
+    def test_masks_not_of_the_label_rasters_shape_rejected(self, side):
+        # 2x2 masks would train on the wrong pixels, 5x5 ones index past them.
+        rng = np.random.default_rng(0)
+        field = LabelField(np.repeat([[1, 2]], 8, axis=0).reshape(4, 4))
+        mask = np.ones((side, side), bool)
+        with pytest.raises(ValueError, match=rf"^shapes differ: train mask \({side}, {side}\), labels \(4, 4\)$"):
+            train_predict(rng.standard_normal((3, 16)), TrainSplit(mask, mask, 0, 0.5), field)
+
+    def test_overlapping_masks_accepted(self):
+        # Training and scoring on every labeled pixel is a valid split.
+        feats, field = blob_instance()
+        labeled = field.labels > 0
+        pred = train_predict(feats, TrainSplit(labeled, labeled, 0, 1.0), field)
+        assert evaluate(pred, field, labeled).oa == 1.0
 
     @pytest.mark.parametrize("columns", [100, 200])
     def test_feature_columns_not_one_per_pixel_rejected(self, columns):

@@ -159,6 +159,8 @@ class TestConfig:
             (lambda: refine(partition, labels, 0.0, 1, np.zeros((1, 4))), {"delta": 0.0}),
             (lambda: refine(partition, labels, 0.5, 0, np.zeros((1, 4))), {"m_split": 0}),
             (lambda: split(labels, 1.5, 0), {"split_percent": 1.5}),
+            (lambda: split(labels, 0.5, -1), {"seed": -1}),
+            (lambda: split(labels, 0.5, 1.5), {"seed": 1.5}),
             (lambda: train_predict(np.eye(4), split(labels, 0.5, 0), labels, "knn", k=0), {"knn_k": 0}),
             (lambda: segment(np.zeros((2, 2)), 2.5), {"initial_superpixels": 2.5}),
             (lambda: refine(partition, labels, 0.5, 1.5, np.zeros((1, 4))), {"m_split": 1.5}),

@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import spdlrr.linalg
@@ -13,6 +13,7 @@ from spdlrr import (
     NonFiniteData,
     SolverDiverged,
     SolverState,
+    SuperpixelPartition,
     SvdFailure,
     max_norm,
     nuclear_norm,
@@ -32,7 +33,7 @@ from spdlrr.solver import (
 )
 from spdlrr.synthetic import two_class_cube
 
-from conftest import single_block
+from conftest import id_arrays, single_block
 
 
 def reference_blocks(labels):
@@ -250,9 +251,9 @@ class TestMalformedIds:
         [
             pytest.param(np.zeros(12), "integers", id="float"),
             pytest.param(np.zeros(12, dtype=bool), "integers", id="bool"),
-            pytest.param(np.r_[np.zeros(11, dtype=int), -1], "0..S-1", id="negative"),
-            pytest.param(np.r_[np.zeros(11, dtype=int), 12], "0..S-1", id="above-column-count"),
-            pytest.param(np.repeat([0, 2], 6), "block id 1 labels no column", id="unused-id"),
+            pytest.param(np.r_[np.zeros(11, dtype=int), -1], "^superpixel ids out of range$", id="negative"),
+            pytest.param(np.r_[np.zeros(11, dtype=int), 12], "^superpixel ids must be contiguous and non-empty$", id="above-column-count"),
+            pytest.param(np.repeat([0, 2], 6), "^superpixel ids must be contiguous and non-empty$", id="unused-id"),
             pytest.param(np.zeros(11, dtype=int), "one block id per column", id="too-few"),
             pytest.param(np.zeros(13, dtype=int), "one block id per column", id="too-many"),
             pytest.param(np.zeros((3, 3), dtype=int), "one block id per column", id="raster"),
@@ -262,6 +263,21 @@ class TestMalformedIds:
         x = np.ones((4, 12))
         with pytest.raises(ValueError, match=message):
             solve(x, labels, DlrrParams(lam=0.1))
+
+    @given(id_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_solve_raises_the_one_row_partitions_message(self, labels):
+        assume(labels.size)
+        x = np.ones((2, labels.size))
+        params = DlrrParams(lam=0.1, max_iter=1)
+        try:
+            SuperpixelPartition(np.reshape(labels, (1, -1)))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as from_solve:
+                solve(x, labels, params)
+            assert str(from_solve.value) == str(exc)
+        else:
+            solve(x, labels, params)
 
     def test_solve_rejects_non_finite_x_as_non_finite_data(self):
         x = np.ones((4, 12))

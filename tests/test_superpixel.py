@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,8 @@ from spdlrr import (
 )
 from spdlrr import superpixel
 from spdlrr.superpixel import SuperpixelPartition, first_appearance_ids
+
+from conftest import id_arrays
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -101,6 +104,37 @@ class TestValidate:
             part = SuperpixelPartition(labels)
             assert part.count == len(np.unique(labels))
             np.testing.assert_array_equal(part.labels, labels)
+
+    @pytest.mark.parametrize(
+        "raster",
+        [
+            pytest.param(np.zeros(5, int), id="1-D"),
+            pytest.param(np.zeros((2, 2, 2), int), id="3-D"),
+            pytest.param(0, id="0-d"),
+            pytest.param([[0.5, 1.7]], id="float"),
+            pytest.param(np.array([[True, False]]), id="bool"),
+        ],
+    )
+    def test_rejects_a_raster_that_is_not_2d_integers(self, raster):
+        a = np.asarray(raster)
+        message = f"^superpixel ids must be integers in a 2-d raster, not {a.dtype} {re.escape(str(a.shape))}$"
+        with pytest.raises(ValueError, match=message):
+            SuperpixelPartition(raster)
+
+    @given(id_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_rejects_iff_not_a_2d_integer_raster_or_an_id_rule_breaks(self, a):
+        if a.ndim != 2 or a.dtype.kind not in "iu":
+            message = f"^superpixel ids must be integers in a 2-d raster, not {a.dtype} {re.escape(str(a.shape))}$"
+        elif a.size and a.min() < 0:
+            message = "^superpixel ids out of range$"
+        elif a.size == 0 or len(np.unique(a)) <= a.max():
+            message = "^superpixel ids must be contiguous and non-empty$"
+        else:
+            np.testing.assert_array_equal(SuperpixelPartition(a).labels, a)
+            return
+        with pytest.raises(ValueError, match=message):
+            SuperpixelPartition(a)
 
     def test_names_a_disconnected_id_that_the_pass_rejoins(self):
         # 0's lone pixel at the top right rejoins 0 through 1's stray pixel,
