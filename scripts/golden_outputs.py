@@ -12,9 +12,9 @@ demo at the top of the work directory, and a 48x48x32 scene in its
 48x48x32/ subdirectory, which is large enough for three classifier chunks
 and superpixel blocks of over a hundred pixels.  Its five class stripes
 make refinement change the blocks between rounds and the two classifiers
-disagree on some pixels; one classify call there runs beta = 0.  BLAS is
-pinned to one thread; float outputs can still differ across BLAS builds, so
-compare runs made on one machine.
+disagree on some pixels; one classify call there runs beta = 0 and one
+the indian_pines preset.  BLAS is pinned to one thread; float outputs can
+still differ across BLAS builds, so compare runs made on one machine.
 """
 
 import os
@@ -58,9 +58,13 @@ SCENES = [
          "--out-dir", "decompose", "--lambda", "0.1667"],
         classify("classify-centroid"),
         classify("classify-knn", "--classifier", "knn"),
-        # beta = 0: per-block robust PCA, which every preset and bench
-        # workload (all beta = 1) leaves unrun.
+        # beta = 0: per-block robust PCA, which no preset runs.
         classify("classify-beta0", "--beta", "0"),
+        # The indian_pines preset alone, its beta and mu schedule included:
+        # 64 superpixels of about 36 px, above its lambda floor of 12.5 px
+        # at 32 bands.
+        ["classify", "--config", "indian_pines", "--cube", "cube.json", "--labels", "truth.txt",
+         "--out-dir", "classify-preset", "--seed", "7"],
     ]),
 ]
 

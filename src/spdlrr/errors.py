@@ -3,6 +3,8 @@
 import math
 import numbers
 
+import numpy as np
+
 
 class SpdlrrError(Exception):
     """Base class for all package-specific errors."""
@@ -46,16 +48,23 @@ OPTION_RULES = {
     "rho": (lambda v: 1 < v < math.inf, "must be finite and above 1"),
 }
 INTEGER_OPTIONS = ("t_max", "initial_superpixels", "m_split", "knn_k", "max_iter", "seed")
+# Every option that takes a number.  A bool is none, though Python counts
+# it as an integer.
+NUMBER_OPTIONS = (*OPTION_RULES, "mu0", "mu_max")
 
 
 def check_options(**values):
-    """Raise DegenerateInput for the first value, by field name, that is no
-    integer (numpy integers are) but one of INTEGER_OPTIONS, or that breaks
-    its OPTION_RULES rule, naming the option by its config key.  Names
-    without a rule (a dataclass's other fields) pass."""
+    """Raise DegenerateInput for the first value, by field name, that is a
+    bool (numpy's too) but one of NUMBER_OPTIONS, no integer (numpy integers
+    are) but one of INTEGER_OPTIONS, or that breaks its OPTION_RULES rule,
+    naming the option by its config key.  Names without a rule (a
+    dataclass's other fields) pass."""
     for name, value in values.items():
         key = CONFIG_NAMES.get(name, name)
-        if name in INTEGER_OPTIONS and not isinstance(value, numbers.Integral):
+        is_bool = name in NUMBER_OPTIONS and isinstance(value, (bool, np.bool_))
+        if name in INTEGER_OPTIONS and (is_bool or not isinstance(value, numbers.Integral)):
             raise DegenerateInput(f"{key} must be an integer, not {value}")
+        if is_bool:
+            raise DegenerateInput(f"{key} must be a number, not {value}")
         if name in OPTION_RULES and not OPTION_RULES[name][0](value):
             raise DegenerateInput(f"{key} {OPTION_RULES[name][1]}, not {value}")

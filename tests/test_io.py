@@ -336,7 +336,10 @@ class TestConfig:
             "salinas_valley.cfg",
         ]
         for name in presets:
-            spio.load_config(os.path.join(preset_dir, name))
+            # beta = 0.5 with rho = 1.5 (README, Command line): a preset
+            # that drops either key falls back to the solver's defaults.
+            values = spio.load_config(os.path.join(preset_dir, name))
+            assert (values["beta"], values["rho"]) == (0.5, 1.5), name
         values = spio.load_config(os.path.join(preset_dir, "indian_pines.cfg"))
         assert values["lambda"] == 0.05
         assert values["superpixels"] == 64

@@ -144,11 +144,23 @@ class TestConfig:
             ({"knn_k": 2.5}, "knn_k must be an integer, not 2.5"),
             ({"seed": 1.5}, "seed must be an integer, not 1.5"),
             ({"t_max": np.nan}, "t_max must be an integer, not nan"),
+            # A bool is no number, though Python counts it as an integer.
+            ({"seed": True}, "seed must be an integer, not True"),
+            ({"knn_k": True}, "knn_k must be an integer, not True"),
+            ({"t_max": True}, "t_max must be an integer, not True"),
+            ({"delta": True}, "delta must be a number, not True"),
+            ({"max_iter": True}, "max_iter must be an integer, not True"),
+            ({"lam": True}, "lambda must be a number, not True"),
+            ({"beta": np.True_}, "beta must be a number, not True"),
+            ({"rho": np.True_}, "rho must be a number, not True"),
+            ({"mu0": True}, "mu0 must be a number, not True"),
         ],
     )
     def test_each_rule_names_its_config_key(self, kwargs, message):
+        # Solver options go to DlrrParams, the rest to PipelineConfig.
+        cls = DlrrParams if kwargs.keys() <= vars(DlrrParams()).keys() else PipelineConfig
         with pytest.raises(DegenerateInput) as exc:
-            PipelineConfig(**kwargs)
+            cls(**kwargs)
         assert str(exc.value) == message
 
     def test_public_functions_raise_the_configs_message(self):
