@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write two demo scenes, run a fixed list of CLI calls on each and print
+"""Write three demo scenes, run a fixed list of CLI calls on each and print
 one 'sha256  path' line per file, so that two checkouts can be compared for
 byte-identical outputs with a single diff:
 
@@ -7,14 +7,18 @@ byte-identical outputs with a single diff:
     PYTHONPATH=../parent/src python3 scripts/golden_outputs.py > before.txt
     diff before.txt after.txt
 
-Both scenes come from make_demo_data.py next to this script: the 12x12x6
-demo at the top of the work directory, and a 48x48x32 scene in its
-48x48x32/ subdirectory, which is large enough for three classifier chunks
-and superpixel blocks of over a hundred pixels.  Its five class stripes
-make refinement change the blocks between rounds and the two classifiers
+Every scene comes from make_demo_data.py next to this script: the 12x12x6
+demo at the top of the work directory, a 48x48x32 scene in its 48x48x32/
+subdirectory, which is large enough for three classifier chunks and
+superpixel blocks of over a hundred pixels, and a 128x160x16 scene in its
+128x160x16/ subdirectory.  The 48x48x32 scene's five class stripes make
+refinement change the blocks between rounds and the two classifiers
 disagree on some pixels; one classify call there runs beta = 0 and one
-the indian_pines preset.  BLAS is pinned to one thread; float outputs can
-still differ across BLAS builds, so compare runs made on one machine.
+the indian_pines preset.  The 128x160x16 scene has 20,480 pixels, more
+than one 16,384-pixel column chunk, so its segment call runs the pooled
+passes of the base image over two chunks.  BLAS is pinned to one thread;
+float outputs can still differ across BLAS builds, so compare runs made on
+one machine.
 """
 
 import os
@@ -65,6 +69,11 @@ SCENES = [
         # at 32 bands.
         ["classify", "--config", "indian_pines", "--cube", "cube.json", "--labels", "truth.txt",
          "--out-dir", "classify-preset", "--seed", "7"],
+    ]),
+    ("128x160x16", ["--height", "128", "--width", "160", "--bands", "16", "--classes", "5"], [
+        ["segment", "--cube", "cube.json", "--out", "partition-16.txt", "--superpixels", "16"],
+        ["decompose", "--cube", "cube.json", "--partition", "partition-16.txt",
+         "--out-dir", "decompose", "--lambda", "0.1667"],
     ]),
 ]
 

@@ -138,6 +138,9 @@ def _cmd_decompose(args):
     if partition.labels.shape != (cube.height, cube.width):
         raise FormatError("partition raster %s is %dx%d, cube %s is %dx%d"
                           % (part_path, *partition.labels.shape, cube_path, cube.height, cube.width))
+    # Widened once, in place of the float32 payload, which solve would
+    # otherwise copy while the payload stayed alive beside its iterates.
+    cube.x = cube.x.astype(np.float64)
     restored, variations, trace, converged = solve(cube.x, partition.labels, params)
     os.makedirs(out_dir, exist_ok=True)
     spio.write_cube(HsiCube(cube.height, cube.width, restored), os.path.join(out_dir, "L.json"))

@@ -17,7 +17,6 @@ import numpy as np
 from .classify import LabelField
 from .cube import HsiCube
 from .errors import CONFIG_NAMES, DegenerateInput, FormatError, NonFiniteData
-from .linalg import _each_column_chunk
 from .pipeline import PipelineConfig
 from .solver import DlrrParams
 from .superpixel import SuperpixelPartition, first_appearance_ids
@@ -72,7 +71,7 @@ def load_cube(manifest_path):
     """Read a cube described by a JSON manifest next to its raw payload.
 
     The payload is little-endian float32, band-sequential: band-major, then
-    row-major within each band."""
+    row-major within each band.  The cube holds it as read, in float32."""
     text = _open_text(manifest_path)
     try:
         manifest = json.load(text)
@@ -101,9 +100,7 @@ def load_cube(manifest_path):
         raise FormatError(
             f"{data_path}: raw size {actual} does not match {b}x{h}x{w} f32 ({expected})"
         )
-    raw = np.fromfile(data_path, dtype="<f4").reshape(b, h * w)
-    x = np.empty(raw.shape)
-    _each_column_chunk(raw, lambda s: np.copyto(x[:, s], raw[:, s]))
+    x = np.fromfile(data_path, dtype="<f4").reshape(b, h * w)
     try:
         return HsiCube(h, w, x)
     except NonFiniteData as exc:  # HsiCube checks the entries, once

@@ -9,6 +9,7 @@ enclosing square around them, restricted to the superpixel's own pixels.
 Everything here is deterministic: no random numbers are drawn.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,17 +65,33 @@ def project_base_image(cube):
 
     The component's sign is fixed so that its largest-magnitude band loading
     is positive.  Degenerate (constant) cubes map to an all-0.5 image.
+
+    The mean, covariance and scores come from column chunks widened to
+    float64 one at a time, so no cube-sized copy is made; the chunks' sums
+    and covariances are added in chunk order.  On one chunk this is the
+    one-expression formula on the widened cube, to the bit.
     """
     x = cube.x
-    mean = x.mean(axis=1, keepdims=True)
-    centered = np.empty_like(x)
-    _each_column_chunk(x, lambda s: np.subtract(x[:, s], mean, out=centered[:, s]))
-    cov = (centered @ centered.T) / x.shape[1]
-    _, vecs = np.linalg.eigh(cov)
+    n = x.shape[1]
+
+    # Not x[:, s].sum(dtype=np.float64): a float32 row is summed by the
+    # 8,192 values of numpy's cast buffer, not pairwise as the widened row.
+    def chunk_sum(s):
+        return np.asarray(x[:, s], dtype=np.float64).sum(axis=1, keepdims=True)
+
+    def centered(s):
+        return x[:, s] - mean  # float64, as mean is
+
+    def covariance(s):
+        c = centered(s)
+        return c @ c.T
+
+    mean = functools.reduce(np.add, _each_column_chunk(x, chunk_sum)) / n
+    _, vecs = np.linalg.eigh(functools.reduce(np.add, _each_column_chunk(x, covariance)) / n)
     u = vecs[:, -1]
     if u[np.argmax(np.abs(u))] < 0:
         u = -u
-    scores = u @ centered
+    scores = np.concatenate(_each_column_chunk(x, lambda s: u @ centered(s)))
     span = scores.max() - scores.min()
     if span == 0.0:
         return np.full((cube.height, cube.width), 0.5)

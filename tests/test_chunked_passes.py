@@ -2,14 +2,34 @@
 expressions' bits, whatever the worker count, chunk width and band height."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from spdlrr import HsiCube, LabelField, linalg, normalize, project_base_image, refine, segment
+from spdlrr import (
+    DlrrParams,
+    HsiCube,
+    LabelField,
+    linalg,
+    normalize,
+    project_base_image,
+    refine,
+    segment,
+    solve,
+    split,
+    train_predict,
+)
 from spdlrr import io as spio
 from spdlrr import superpixel
+from spdlrr.classify import CLASSIFIERS
 
 H, W, BANDS = 30, 40, 5
 
@@ -35,13 +55,35 @@ def scene(seed=0):
 
 
 def serial_base_image(cube):
-    """project_base_image as one expression per step."""
-    x = cube.x
+    """project_base_image as one expression per step, on the widened cube."""
+    x = cube.x.astype(np.float64)
     centered = x - x.mean(axis=1, keepdims=True)
     u = np.linalg.eigh((centered @ centered.T) / x.shape[1])[1][:, -1]
     if u[np.argmax(np.abs(u))] < 0:
         u = -u
     scores = u @ centered
+    span = scores.max() - scores.min()
+    return ((scores - scores.min()) / span).reshape(cube.height, cube.width)
+
+
+def chunked_base_image(cube, width):
+    """project_base_image as a serial loop over width-pixel column chunks of
+    the widened cube, adding the chunks' sums and covariances in order."""
+    x = cube.x.astype(np.float64)
+    chunks = [slice(start, start + width) for start in range(0, x.shape[1], width)]
+
+    def in_order(parts):
+        return sum(parts[1:], parts[0])
+
+    def covariance(c):  # c @ c.T of one array: BLAS syrk, as centered @ centered.T
+        return c @ c.T
+
+    mean = in_order([x[:, s].sum(axis=1, keepdims=True) for s in chunks]) / x.shape[1]
+    cov = in_order([covariance(x[:, s] - mean) for s in chunks]) / x.shape[1]
+    u = np.linalg.eigh(cov)[1][:, -1]
+    if u[np.argmax(np.abs(u))] < 0:
+        u = -u
+    scores = np.concatenate([u @ (x[:, s] - mean) for s in chunks])
     span = scores.max() - scores.min()
     return ((scores - scores.min()) / span).reshape(cube.height, cube.width)
 
@@ -85,7 +127,7 @@ def test_load_cube(pool, tmp_path):
     spio.write_cube(scene(), manifest)
     raw = np.fromfile(tmp_path / "cube.raw", dtype="<f4")
     got = spio.load_cube(manifest).x
-    assert got.tobytes() == raw.reshape(BANDS, H * W).astype(np.float64).tobytes()
+    assert got.dtype == np.float32 and got.tobytes() == raw.tobytes()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -112,8 +154,91 @@ def test_normalize(pool):
 
 
 def test_project_base_image(pool):
-    cube = normalize(scene())
+    for dtype in (np.float64, np.float32):
+        cube = HsiCube(H, W, normalize(scene()).x.astype(dtype))
+        assert project_base_image(cube).tobytes() == chunked_base_image(cube, 97).tobytes()
+        # 96 pixels: one chunk, where the chunked passes are the one-expression formula.
+        one_chunk = HsiCube(8, 12, cube.x[:, : 8 * 12])
+        assert project_base_image(one_chunk).tobytes() == serial_base_image(one_chunk).tobytes()
+
+
+def test_project_base_image_makes_no_cube_sized_copy(pool):
+    # 413 chunks of 8 bands: the full centered copy alone would be 1x.
+    x = np.random.default_rng(0).standard_normal((8, 200 * 200))
+    for dtype in (np.float64, np.float32):
+        cube = HsiCube(200, 200, x.astype(dtype))
+        tracemalloc.start()
+        try:
+            base = project_base_image(cube)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
+        assert base.tobytes() == chunked_base_image(cube, 97).tobytes()
+
+
+def test_a_float32_chunk_wider_than_the_cast_buffer():
+    # One 12,000-px chunk: numpy would sum a float32 row with dtype=float64
+    # by 8,192-value buffers, not pairwise as the widened row.  Magnitudes
+    # from 1e-5 to 1e5, so that the grouping of the sum shows in its bits.
+    rng = np.random.default_rng(2)
+    x = (rng.standard_normal((4, 12000)) * np.exp(rng.uniform(-12, 12, (4, 12000)))).astype(np.float32)
+    cube = HsiCube(100, 120, x)
     assert project_base_image(cube).tobytes() == serial_base_image(cube).tobytes()
+
+
+def test_base_image_with_two_blas_threads():
+    """A fresh process, so that numpy loads with 2 BLAS threads (this suite
+    pins 1): the chunk threads then call a multi-threaded BLAS at the same
+    time.  Three full-size chunks of Pavia's 103 bands, so the pool runs."""
+    script = textwrap.dedent(
+        """
+        from unittest import mock
+        import numpy as np
+        from spdlrr import HsiCube, linalg, project_base_image
+        n = 3 * linalg._COLUMN_CHUNK - 700
+        cube = HsiCube(1, n, np.random.default_rng(5).standard_normal((103, n), dtype=np.float32))
+        outputs = set()
+        for workers in (1, 2, 3):
+            with mock.patch.object(linalg, "_WORKERS", workers):
+                outputs.add(project_base_image(cube).tobytes())
+        print(len(outputs))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(linalg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "2"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1"
+
+
+@st.composite
+def float32_cubes(draw):
+    h, w, bands = draw(st.integers(1, 4)), draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    x = draw(hnp.arrays(np.float32, (bands, h * w), elements=st.floats(-10, 10, width=32)))
+    assume(x.min() < x.max())
+    return HsiCube(h, w, x)
+
+
+@given(float32_cubes())
+@settings(max_examples=60, deadline=None)
+def test_a_float32_cube_gives_the_bytes_of_its_float64_widening(cube):
+    assert cube.x.dtype == np.float32
+    wide = HsiCube(cube.height, cube.width, cube.x.astype(np.float64))
+    for f in (lambda c: normalize(c).x, project_base_image):
+        assert f(cube).tobytes() == f(wide).tobytes()
+    n = cube.x.shape[1]
+    labels = LabelField((1 + np.arange(n) % 2).reshape(cube.height, cube.width))
+    tsplit = split(labels, 0.5, 0)
+    for kind in CLASSIFIERS:
+        got, expected = (train_predict(c.x, tsplit, labels, kind, k=1).labels for c in (cube, wide))
+        assert got.tobytes() == expected.tobytes()
+    blocks = (np.arange(n) * 2 // n).reshape(cube.height, cube.width)
+    got, expected = (solve(c.x, blocks, DlrrParams(lam=0.3, max_iter=20)) for c in (cube, wide))
+    assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in expected[:2]]
+    assert got[2:] == expected[2:]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

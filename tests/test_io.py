@@ -44,7 +44,8 @@ class TestCubeRoundTrip:
         spio.write_cube(HsiCube(3, 4, x), str(manifest))
         payload = (tmp_path / "cube.raw").read_bytes()
         assert payload == np.ascontiguousarray(x, dtype="<f4").tobytes()
-        assert spio.load_cube(str(manifest)).x.tobytes() == x.astype("<f4").astype(np.float64).tobytes()
+        loaded = spio.load_cube(str(manifest)).x
+        assert loaded.dtype == np.float32 and loaded.tobytes() == x.astype("<f4").tobytes()
 
     def test_band_sequential_layout(self, tmp_path):
         raw = tmp_path / "d.raw"

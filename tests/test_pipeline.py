@@ -59,6 +59,8 @@ class TestHsiCube:
             (2, 2, np.ones((3, 5)), r"pixel matrix of shape \(3, 5\) does not match 2x2 image"),
             (12.0, 12, np.ones((3, 144)), "cube dimensions must be positive integers, not 12.0x12"),
             (2, 1.5, np.ones((3, 3)), "cube dimensions must be positive integers, not 2x1.5"),
+            (True, 4, np.ones((3, 4)), "cube dimensions must be positive integers, not Truex4"),
+            (2, np.True_, np.ones((3, 2)), "cube dimensions must be positive integers, not 2xTrue"),
         ],
     )
     def test_rejects_bad_shapes(self, height, width, x, message):
