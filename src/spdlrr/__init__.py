@@ -26,7 +26,7 @@ from .linalg import (
     soft_threshold,
     svt,
 )
-from .pipeline import PipelineConfig, PipelineResult, run
+from .pipeline import PipelineConfig, PipelineResult, Round, run, run_round
 from .solver import DlrrParams, SolveTrace, SolverState, solve
 from .superpixel import SuperpixelPartition, project_base_image, refine, segment
 
@@ -42,6 +42,7 @@ __all__ = [
     "NonFiniteData",
     "PipelineConfig",
     "PipelineResult",
+    "Round",
     "SolveTrace",
     "SolverDiverged",
     "SolverState",
@@ -58,6 +59,7 @@ __all__ = [
     "project_base_image",
     "refine",
     "run",
+    "run_round",
     "segment",
     "soft_threshold",
     "split",

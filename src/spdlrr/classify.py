@@ -47,12 +47,21 @@ class LabelField:
 
 @dataclass
 class TrainSplit:
-    """Disjoint per-pixel training and test masks over the labeled pixels."""
+    """Per-pixel training and test masks over the labeled pixels: two 2-D
+    boolean rasters of one shape, checked when built.  `split` makes them
+    disjoint."""
 
     train_mask: np.ndarray
     test_mask: np.ndarray
     seed: int
     percent: float
+
+    def __post_init__(self):
+        train, test = np.asarray(self.train_mask), np.asarray(self.test_mask)
+        if not (train.ndim == 2 and train.dtype == test.dtype == bool and train.shape == test.shape):
+            raise ValueError("train and test masks must be 2-d boolean rasters of one shape, not "
+                             f"{train.dtype} {train.shape} and {test.dtype} {test.shape}")
+        self.train_mask, self.test_mask = train, test
 
 
 def split(labels, percent, seed):

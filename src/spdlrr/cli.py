@@ -180,12 +180,13 @@ def _cmd_classify(args):
     spio.render_map(result.final_predictions, os.path.join(out_dir, "map.pgm"),
                     n_classes=labels.n_classes, class_ids=back.tolist())
     spio.write_metrics_json(result.metrics, os.path.join(out_dir, "metrics.json"))
-    for t, trace in enumerate(result.traces, 1):
-        spio.write_trace_csv(trace, os.path.join(out_dir, f"trace_{t}.csv"))
+    for t, rnd in enumerate(result.rounds, 1):
+        spio.write_trace_csv(rnd.trace, os.path.join(out_dir, f"trace_{t}.csv"))
     m = result.metrics
     print(f"classify: oa={m.oa:.4f} aa={m.aa:.4f} kappa={m.kappa:.4f}")
-    all_zero = _check_solve(result.l_final, result.partitions[-1].labels, pipe_config.dlrr.lam,
-                            result.traces[-1].iterations, result.converged[-1])
+    last = result.rounds[-1]
+    all_zero = _check_solve(result.l_final, last.partition.labels, pipe_config.dlrr.lam,
+                            last.trace.iterations, last.converged)
     if args.strict and not all(result.converged):
         print("solver did not converge (--strict)", file=sys.stderr)
         return 3

@@ -35,6 +35,8 @@ class HsiCube:
                 f"pixel matrix of shape {self.x.shape} does not match "
                 f"{self.height}x{self.width} image"
             )
+        if self.x.shape[0] == 0:
+            raise ValueError(f"pixel matrix of shape {self.x.shape} has no bands")
         if not all_finite(self.x):
             raise NonFiniteData("cube entries must be finite")
 
@@ -49,6 +51,9 @@ def normalize(cube):
     float64 whatever the cube's dtype."""
     x = cube.x
     lo, hi = extremes(x)
+    # numpy's min of 0.0 and -0.0 may be either, by dtype; x - lo keeps the
+    # sign of each zero of x, as the widened cube's would, only if lo is 0.0.
+    lo = lo + 0.0
     # In Python floats a span beyond float64 is inf, with no RuntimeWarning.
     span = float(hi) - float(lo)
     if span == 0.0:

@@ -81,8 +81,8 @@ def test_criterion_3_convergence_behavior(
     _, _, tr, conv = solve(x, labels, DlrrParams(lam=lam, beta=0.0, max_iter=300))
     assert conv
     traces["four-block"] = tr
-    for t, tr_p in enumerate(pipeline_results[1.0].traces, 1):
-        traces[f"pipeline round {t}"] = tr_p
+    for t, rnd in enumerate(pipeline_results[1.0].rounds, 1):
+        traces[f"pipeline round {t}"] = rnd.trace
     details = []
     ok = True
     for name, trace in traces.items():

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spdlrr import (
@@ -223,6 +223,9 @@ def float32_cubes(draw):
 
 
 @given(float32_cubes())
+# A -0.0 entry: numpy's float32 min returned -0.0 where the float64 min of
+# the widened cube returned 0.0, and the zeros' signs differed.
+@example(HsiCube(1, 3, np.array([[0, -0.0, 1], [1, 1, 1], [1, 1, 1]], dtype=np.float32)))
 @settings(max_examples=60, deadline=None)
 def test_a_float32_cube_gives_the_bytes_of_its_float64_widening(cube):
     assert cube.x.dtype == np.float32

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -168,6 +169,21 @@ class TestTrainPredict:
         mask = np.ones((side, side), bool)
         with pytest.raises(ValueError, match=rf"^shapes differ: train mask \({side}, {side}\), labels \(4, 4\)$"):
             train_predict(rng.standard_normal((3, 16)), TrainSplit(mask, mask, 0, 0.5), field)
+
+    @pytest.mark.parametrize(
+        "train, test, described",
+        [
+            (np.full((4, 4), 0.5), np.ones((4, 4), bool), "float64 (4, 4) and bool (4, 4)"),
+            (np.ones((4, 4), bool), np.ones((4, 5), bool), "bool (4, 4) and bool (4, 5)"),
+            (np.ones(16, bool), np.ones(16, bool), "bool (16,) and bool (16,)"),
+            (np.ones((4, 4), int), np.ones((4, 4), int), "int64 (4, 4) and int64 (4, 4)"),
+        ],
+    )
+    def test_masks_not_two_boolean_rasters_of_one_shape_rejected(self, train, test, described):
+        # A 0.5 train mask would train on those pixels; evaluate casts it to True.
+        with pytest.raises(ValueError, match=rf"^train and test masks must be 2-d boolean rasters "
+                                             rf"of one shape, not {re.escape(described)}$"):
+            TrainSplit(train, test, 0, 0.5)
 
     def test_overlapping_masks_accepted(self):
         # Training and scoring on every labeled pixel is a valid split.

@@ -215,6 +215,16 @@ class TestExitCodes:
         assert "unknown classifier kind 'foo'" in capsys.readouterr().err
         assert segments == [] and sorted(os.listdir(demo_dir)) == before
 
+    def test_split_with_no_test_pixel_is_exit_two_before_the_run(self, demo_dir, capsys, monkeypatch):
+        # One labeled pixel per class: split trains on every one of them.
+        spio.write_raster(np.arange(1, 145).reshape(12, 12), str(demo_dir / "truth.txt"))
+        segments = []
+        monkeypatch.setattr(spdlrr.pipeline, "segment", lambda *a: segments.append(a))
+        rc = cli_main(classify_args(demo_dir, "out"))
+        assert rc == 2
+        assert "leaves no test pixel: every labeled pixel is a training pixel" in capsys.readouterr().err
+        assert segments == [] and not (demo_dir / "out").exists()
+
     MU0_RULE = "need 0 < mu0 < mu_max, with lambda / mu0, beta / mu0 and 1 / (2 mu0) finite"
 
     @pytest.mark.parametrize(

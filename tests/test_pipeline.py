@@ -17,6 +17,7 @@ from spdlrr import (
     normalize,
     refine,
     run,
+    run_round,
     segment,
     split,
     train_predict,
@@ -61,6 +62,7 @@ class TestHsiCube:
             (2, 1.5, np.ones((3, 3)), "cube dimensions must be positive integers, not 2x1.5"),
             (True, 4, np.ones((3, 4)), "cube dimensions must be positive integers, not Truex4"),
             (2, np.True_, np.ones((3, 2)), "cube dimensions must be positive integers, not 2xTrue"),
+            (2, 2, np.zeros((0, 4)), r"pixel matrix of shape \(0, 4\) has no bands"),
         ],
     )
     def test_rejects_bad_shapes(self, height, width, x, message):
@@ -232,8 +234,8 @@ class TestRun:
         result = run(cube, labels, config)
         assert result.l_final.shape == cube.x.shape
         assert result.e_final.shape == cube.x.shape
-        assert len(result.traces) == 1
-        assert result.partitions[0].count == 36
+        assert len(result.rounds) == 1
+        assert result.rounds[0].partition.count == 36
         assert (result.final_predictions.labels >= 1).all()
 
     def test_accuracy_on_separable_cube(self, pipeline_results):
@@ -246,8 +248,7 @@ class TestRun:
 
     def test_exactly_t_max_rounds(self, pipeline_results):
         result = pipeline_results[1.0]
-        assert len(result.traces) == 3
-        assert len(result.partitions) == 3
+        assert len(result.rounds) == 3
         assert len(result.converged) == 3
 
     def test_restoration_plus_variations_reproduce_normalized_cube(
@@ -276,19 +277,9 @@ class TestRun:
         assert len(seen) == 3
         assert all(digest == expected for digest in seen)
 
-    def test_refine_never_reduces_partition_count(self, monkeypatch):
-        cube, labels = two_class_cube(seed=0)
-        counts = []
-        real_refine = pipeline_mod.refine
-
-        def recording_refine(partition, predictions, delta, m_split, base, seed=0):
-            out = real_refine(partition, predictions, delta, m_split, base, seed)
-            counts.append((partition.count, out.count))
-            return out
-
-        monkeypatch.setattr(pipeline_mod, "refine", recording_refine)
-        run(cube, labels, pipeline_config(1.0))
-        assert counts and all(after >= before for before, after in counts)
+    def test_refine_never_reduces_partition_count(self, pipeline_results):
+        rounds = pipeline_results[1.0].rounds
+        assert rounds and all(r.initial.count <= r.partition.count for r in rounds)
 
     def test_bitwise_deterministic(self):
         cube, labels = two_class_cube(seed=0)
@@ -302,8 +293,42 @@ class TestRun:
         )
         assert a.metrics.oa == b.metrics.oa
         assert a.metrics.kappa == b.metrics.kappa
-        for pa, pb in zip(a.partitions, b.partitions):
-            np.testing.assert_array_equal(pa.labels, pb.labels)
-        for ta, tb in zip(a.traces, b.traces):
-            assert ta.objective == tb.objective
-            assert ta.r1 == tb.r1
+        for ra, rb in zip(a.rounds, b.rounds):
+            np.testing.assert_array_equal(ra.partition.labels, rb.partition.labels)
+            assert ra.trace.objective == rb.trace.objective
+            assert ra.trace.r1 == rb.trace.r1
+
+
+class TestRunRound:
+    def test_rounds_by_hand_reproduce_run(self, pipeline_results):
+        labels, config, result = pipeline_results["labels"], pipeline_config(1.0), pipeline_results[1.0]
+        cube = normalize(pipeline_results["cube"])
+        tsplit = split(labels, config.split_percent, config.seed)
+        working = cube
+        for expected in result.rounds:
+            record, restored, variations = run_round(cube, working, labels, tsplit, config)
+            working = HsiCube(cube.height, cube.width, restored)
+            for name in ("initial", "guidance", "partition"):
+                np.testing.assert_array_equal(getattr(record, name).labels, getattr(expected, name).labels)
+            assert (record.trace, record.converged) == (expected.trace, expected.converged)
+        assert len(result.rounds) == config.t_max
+        np.testing.assert_array_equal(restored, result.l_final)
+        np.testing.assert_array_equal(variations, result.e_final)
+
+    def test_first_guidance_is_the_raw_pixel_baseline(self, pipeline_results):
+        labels, config = pipeline_results["labels"], pipeline_config(1.0)
+        tsplit = split(labels, config.split_percent, config.seed)
+        raw = train_predict(normalize(pipeline_results["cube"]).x, tsplit, labels, config.classifier)
+        np.testing.assert_array_equal(pipeline_results[1.0].rounds[0].guidance.labels, raw.labels)
+
+    def test_every_partition_is_valid(self, pipeline_results):
+        for record in pipeline_results[1.0].rounds:
+            record.partition.validate()
+
+    def test_no_round_holds_a_cube_sized_array(self, pipeline_results):
+        # The largest array a round keeps is one value per pixel.
+        cube = pipeline_results["cube"]
+        for record in pipeline_results[1.0].rounds:
+            for value in vars(record).values():
+                for a in vars(value).values() if hasattr(value, "__dict__") else ():
+                    assert not isinstance(a, np.ndarray) or a.size == cube.height * cube.width
