@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, check_options
+from .errors import DegenerateInput, boolean_mask, check_options, finite_matrix, integer_raster, same_shape
 from .linalg import _each_chunk
 
 DEFAULT_KNN_K = 5
@@ -29,12 +29,7 @@ class LabelField:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.ndim != 2 or labels.dtype.kind not in "iu":
-            raise ValueError(f"labels must be a 2-d raster of integers, not {labels.dtype} {labels.shape}")
-        self.labels = labels.astype(np.int64, copy=False)
-        if (self.labels < 0).any():
-            raise ValueError("labels must be non-negative")
+        self.labels = integer_raster("labels", self.labels)
 
     @property
     def shape(self):
@@ -57,11 +52,8 @@ class TrainSplit:
     percent: float
 
     def __post_init__(self):
-        train, test = np.asarray(self.train_mask), np.asarray(self.test_mask)
-        if not (train.ndim == 2 and train.dtype == test.dtype == bool and train.shape == test.shape):
-            raise ValueError("train and test masks must be 2-d boolean rasters of one shape, not "
-                             f"{train.dtype} {train.shape} and {test.dtype} {test.shape}")
-        self.train_mask, self.test_mask = train, test
+        self.train_mask = boolean_mask("train mask", self.train_mask)
+        self.test_mask = boolean_mask("test mask", self.test_mask, self.train_mask.shape)
 
 
 def split(labels, percent, seed):
@@ -148,13 +140,12 @@ def train_predict(features, tsplit, labels, kind="nearest-centroid", k=DEFAULT_K
     """Train on the split's training pixels and predict a class for every
     pixel.  A train mask not of the label raster's shape raises ValueError.
 
-    `features` is the bands x pixels matrix; `kind` is a CLASSIFIERS name,
-    "nearest-centroid" or "knn".
+    `features` is the bands x pixels matrix, finite (else NonFiniteData);
+    `kind` is a CLASSIFIERS name, "nearest-centroid" or "knn".
     """
     check_classifier(kind)
-    if tsplit.train_mask.shape != labels.shape:
-        raise ValueError(f"shapes differ: train mask {tsplit.train_mask.shape}, labels {labels.shape}")
-    all_x = np.asarray(features, dtype=np.float64).T
+    same_shape(train_mask=tsplit.train_mask.shape, labels=labels.shape)
+    all_x = finite_matrix("features", np.asarray(features, dtype=np.float64)).T
     flat = labels.labels.ravel()
     if all_x.shape[0] != flat.size:
         raise ValueError(f"features have {all_x.shape[0]} columns, the label raster {flat.size} pixels")
@@ -195,9 +186,13 @@ def metrics_from_confusion(confusion):
 
     Classes with no truth pixels get NaN per-class accuracy and are skipped
     by the average.  The degenerate chance-agreement case p_e = 1 maps to
-    kappa = 1 for perfect agreement and 0 otherwise.
+    kappa = 1 for perfect agreement and 0 otherwise.  Anything but a square
+    matrix of finite, non-negative counts raises ValueError.
     """
-    confusion = np.asarray(confusion, dtype=np.float64)
+    confusion = finite_matrix("confusion", np.asarray(confusion, dtype=np.float64))
+    if confusion.shape[0] != confusion.shape[1] or confusion.min() < 0:
+        raise ValueError("confusion must be a square matrix of non-negative counts, "
+                         f"not {confusion.shape} with minimum {confusion.min()}")
     total = confusion.sum()
     if total <= 0:
         raise DegenerateInput("empty confusion matrix")
@@ -217,10 +212,10 @@ def metrics_from_confusion(confusion):
 
 
 def evaluate(predictions, truth, mask):
-    """Score predictions against ground truth over the masked pixels."""
-    mask = np.asarray(mask, dtype=bool)
-    if not predictions.shape == truth.shape == mask.shape:
-        raise ValueError(f"shapes differ: predictions {predictions.shape}, truth {truth.shape}, mask {mask.shape}")
+    """Score predictions against ground truth over the pixels of mask, a
+    boolean raster of their shape."""
+    mask = boolean_mask("mask", mask)
+    same_shape(predictions=predictions.shape, truth=truth.shape, mask=mask.shape)
     t = truth.labels[mask]
     p = predictions.labels[mask]
     if t.size == 0:

@@ -22,7 +22,7 @@ import numpy as np
 from . import io as spio
 from .classify import LabelField, evaluate
 from .cube import HsiCube
-from .errors import FormatError, SpdlrrError
+from .errors import FormatError, SpdlrrError, same_shape
 from .pipeline import PipelineConfig, run
 from .solver import DlrrParams, solve
 from .superpixel import first_appearance_ids, project_base_image, segment
@@ -135,9 +135,7 @@ def _cmd_decompose(args):
     params = _build(DlrrParams, options)
     cube = spio.load_cube(cube_path)
     partition = spio.load_partition(part_path)
-    if partition.labels.shape != (cube.height, cube.width):
-        raise FormatError("partition raster %s is %dx%d, cube %s is %dx%d"
-                          % (part_path, *partition.labels.shape, cube_path, cube.height, cube.width))
+    same_shape(**{part_path: partition.labels.shape, cube_path: (cube.height, cube.width)})
     # Widened once, in place of the float32 payload, which solve would
     # otherwise copy while the payload stayed alive beside its iterates.
     cube.x = cube.x.astype(np.float64)
@@ -199,16 +197,14 @@ def _cmd_classify(args):
 def _cmd_metrics(args):
     pred_grid = spio.load_raster(args.predictions)
     truth_grid = spio.load_raster(args.truth)
-    if pred_grid.shape != truth_grid.shape:
-        raise FormatError("prediction raster %s is %dx%d, truth raster %s is %dx%d"
-                          % (args.predictions, *pred_grid.shape, args.truth, *truth_grid.shape))
+    same_shape(**{args.predictions: pred_grid.shape, args.truth: truth_grid.shape})
     # One consistent dense mapping across both rasters, truth ids first.
     (dense_truth, dense_pred), _ = first_appearance_ids(
         np.stack([truth_grid, pred_grid]), keep_zero=True
     )
     mask = truth_grid > 0
     if (pred_grid[mask] == 0).any():
-        raise FormatError("predictions are unlabeled on scored pixels")
+        raise FormatError(f"{args.predictions}: predictions are unlabeled on scored pixels")
     report = evaluate(LabelField(dense_pred), LabelField(dense_truth), mask)
     if args.out:
         spio.write_metrics_json(report, args.out)

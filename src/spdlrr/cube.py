@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, NonFiniteData
-from .linalg import _each_column_chunk, all_finite, extremes
+from .errors import DegenerateInput, finite_matrix
+from .linalg import _each_column_chunk, extremes
 
 
 @dataclass
@@ -30,15 +30,11 @@ class HsiCube:
         dims = (self.height, self.width)
         if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1 for n in dims):
             raise ValueError(f"cube dimensions must be positive integers, not {self.height}x{self.width}")
-        if self.x.ndim != 2 or self.x.shape[1] != self.height * self.width:
+        if finite_matrix("pixel matrix", self.x).shape[1] != self.height * self.width:
             raise ValueError(
                 f"pixel matrix of shape {self.x.shape} does not match "
                 f"{self.height}x{self.width} image"
             )
-        if self.x.shape[0] == 0:
-            raise ValueError(f"pixel matrix of shape {self.x.shape} has no bands")
-        if not all_finite(self.x):
-            raise NonFiniteData("cube entries must be finite")
 
     @property
     def bands(self):

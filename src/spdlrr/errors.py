@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the run options' rules."""
+"""Exception types shared across the package, the run options' rules and
+the array contracts."""
 
 import math
 import numbers
@@ -68,3 +69,41 @@ def check_options(**values):
             raise DegenerateInput(f"{key} must be a number, not {value}")
         if name in OPTION_RULES and not OPTION_RULES[name][0](value):
             raise DegenerateInput(f"{key} {OPTION_RULES[name][1]}, not {value}")
+
+
+def integer_raster(name, a):
+    """a as int64: ValueError unless a non-empty 2-d raster of non-negative
+    integers.  The cast precedes the sign test, so no uint64 id wraps to a valid one."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.size == 0 or a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a 2-d raster of integers, not {a.dtype} {a.shape}")
+    a = a.astype(np.int64, copy=False)
+    if a.min() < 0:
+        raise ValueError(f"{name} must be non-negative and below 2**63: out of range")
+    return a
+
+
+def boolean_mask(name, m, shape=None):
+    """m as an array: ValueError unless a 2-d bool raster, of `shape` if given."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.dtype != bool or shape not in (None, m.shape):
+        of = "" if shape is None else f" of shape {shape}"
+        raise ValueError(f"{name} must be a 2-d boolean raster{of}, not {m.dtype} {m.shape}")
+    return m
+
+
+def finite_matrix(name, a):
+    """a as an array: ValueError unless a non-empty 2-d matrix, NonFiniteData unless finite."""
+    from .linalg import all_finite  # linalg imports this module
+    a = np.asarray(a)
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"{name} must be a non-empty 2-d matrix, not shape {a.shape}")
+    if not all_finite(a):
+        raise NonFiniteData(f"{name} must be finite")
+    return a
+
+
+def same_shape(**shapes):
+    """ValueError naming each argument and its shape unless the shapes are equal."""
+    if len(set(shapes.values())) > 1:
+        raise ValueError("shapes differ: " + ", ".join(f"{k} {v}" for k, v in shapes.items()))

@@ -93,12 +93,12 @@ def load_cube(manifest_path):
         raise FormatError(f"{manifest_path}: data_path must be a string: a bare file name")
     data_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), name)
     if not os.path.isfile(data_path):
-        raise FormatError(f"{data_path}: no such payload file")
+        raise FormatError(f"{manifest_path}: no such payload file {data_path}")
     expected = h * w * b * 4
     actual = os.path.getsize(data_path)
     if actual != expected:
         raise FormatError(
-            f"{data_path}: raw size {actual} does not match {b}x{h}x{w} f32 ({expected})"
+            f"{data_path}: raw size {actual} does not match {b}x{h}x{w} f32 ({expected}) of {manifest_path}"
         )
     x = np.fromfile(data_path, dtype="<f4").reshape(b, h * w)
     try:

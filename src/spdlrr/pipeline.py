@@ -16,7 +16,7 @@ from .classify import (
     train_predict,
 )
 from .cube import HsiCube, normalize
-from .errors import DegenerateInput, check_options
+from .errors import DegenerateInput, check_options, same_shape
 from .solver import DlrrParams, SolveTrace, solve
 from .superpixel import SuperpixelPartition, project_base_image, refine, segment
 
@@ -90,8 +90,7 @@ def run(cube, labels, config):
     ValueError before any work, and a split that leaves no test pixel
     raises DegenerateInput before the first round.
     """
-    if labels.shape != (cube.height, cube.width):
-        raise ValueError("label raster is %dx%d, cube is %dx%d" % (*labels.shape, cube.height, cube.width))
+    same_shape(labels=labels.shape, cube=(cube.height, cube.width))
     cube = normalize(cube)
     tsplit = split(labels, config.split_percent, config.seed)
     if not tsplit.test_mask.any():

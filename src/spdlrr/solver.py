@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInput, NonFiniteData, SolverDiverged, SvdFailure, check_options
-from .linalg import all_finite, max_norm, nuclear_subgradient, soft_threshold, svt
+from .errors import DegenerateInput, SolverDiverged, SvdFailure, check_options, finite_matrix
+from .linalg import max_norm, nuclear_subgradient, soft_threshold, svt
 from .linalg import nuclear_norm  # noqa: F401  (for bench/tracing.py)
 from .superpixel import SuperpixelPartition
 
@@ -215,11 +215,7 @@ def solve(x, labels, params):
     ValueError.  Returns (L, E, trace, converged); when max_iter is
     exhausted the last iterate is returned with converged=False.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.size == 0:
-        raise ValueError(f"x must be a non-empty 2-D matrix, not shape {x.shape}")
-    if not all_finite(x):
-        raise NonFiniteData("x must be finite")
+    x = finite_matrix("x", np.asarray(x, dtype=np.float64))
     if np.size(labels) != x.shape[1]:
         raise ValueError(f"need one block id per column of x: {np.size(labels)} for {x.shape[1]}")
     blocks = column_blocks(labels)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateInput, NonFiniteData, check_options
-from .linalg import _each_chunk, _each_column_chunk, all_finite
+from .errors import DegenerateInput, check_options, finite_matrix, integer_raster, same_shape
+from .linalg import _each_chunk, _each_column_chunk
 
 COMPACTNESS = 0.1
 KMEANS_SWEEPS = 10
@@ -38,13 +38,8 @@ class SuperpixelPartition:
     labels: np.ndarray
 
     def __post_init__(self):
-        ids = np.asarray(self.labels)
-        if ids.ndim != 2 or ids.dtype.kind not in "iu":
-            raise ValueError(f"superpixel ids must be integers in a 2-d raster, not {ids.dtype} {ids.shape}")
-        self.labels = ids.astype(np.int64, copy=False)
-        if self.labels.min(initial=0) < 0:
-            raise ValueError("superpixel ids out of range")
-        if not np.bincount(self.labels.ravel(), minlength=1).all():
+        self.labels = integer_raster("superpixel ids", self.labels)
+        if not np.bincount(self.labels.ravel()).all():
             raise ValueError("superpixel ids must be contiguous and non-empty")
 
     @property
@@ -287,16 +282,6 @@ def _slic(values, mask, target):
     return labels
 
 
-def _base_image(base):
-    """base as a float64 array; ValueError unless 2-D, NonFiniteData unless finite."""
-    base = np.asarray(base, dtype=np.float64)
-    if base.ndim != 2:
-        raise ValueError(f"base image must be 2-D, not of shape {base.shape}")
-    if not all_finite(base):
-        raise NonFiniteData("base image entries must be finite")
-    return base
-
-
 def segment(base, target_count, seed=0):
     """Segment a scalar [0, 1] image into roughly target_count superpixels.
 
@@ -304,7 +289,7 @@ def segment(base, target_count, seed=0):
     invariants and its size stays within [target_count / 2, 2 * target_count].
     seed is unused; it stays because bench/workloads.py passes it by position.
     """
-    base = _base_image(base)
+    base = finite_matrix("base image", np.asarray(base, dtype=np.float64))
     h, w = base.shape
     check_options(initial_superpixels=target_count)
     if target_count > h * w:
@@ -339,12 +324,10 @@ def refine(partition, predictions, delta, m_split, base, seed=0):
     it by position.
     """
     check_options(delta=delta, m_split=m_split)
-    base = _base_image(base)
-    preds = np.asarray(predictions.labels)
+    base = finite_matrix("base image", np.asarray(base, dtype=np.float64))
+    preds = predictions.labels
     h, w = partition.labels.shape
-    for name, shape in (("prediction", preds.shape), ("base image", base.shape)):
-        if shape != (h, w):
-            raise ValueError(f"{name} and partition shapes differ: {shape} vs {(h, w)}")
+    same_shape(partition=(h, w), predictions=preds.shape, base=base.shape)
     if (preds < 1).any():
         raise DegenerateInput("refine needs a predicted class for every pixel")
     n_classes = int(preds.max())

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from spdlrr import (
     DegenerateInput,
     LabelField,
+    NonFiniteData,
     TrainSplit,
     evaluate,
     metrics_from_confusion,
@@ -167,22 +168,22 @@ class TestTrainPredict:
         rng = np.random.default_rng(0)
         field = LabelField(np.repeat([[1, 2]], 8, axis=0).reshape(4, 4))
         mask = np.ones((side, side), bool)
-        with pytest.raises(ValueError, match=rf"^shapes differ: train mask \({side}, {side}\), labels \(4, 4\)$"):
+        with pytest.raises(ValueError, match=rf"^shapes differ: train_mask \({side}, {side}\), labels \(4, 4\)$"):
             train_predict(rng.standard_normal((3, 16)), TrainSplit(mask, mask, 0, 0.5), field)
 
     @pytest.mark.parametrize(
-        "train, test, described",
+        "train, test, message",
         [
-            (np.full((4, 4), 0.5), np.ones((4, 4), bool), "float64 (4, 4) and bool (4, 4)"),
-            (np.ones((4, 4), bool), np.ones((4, 5), bool), "bool (4, 4) and bool (4, 5)"),
-            (np.ones(16, bool), np.ones(16, bool), "bool (16,) and bool (16,)"),
-            (np.ones((4, 4), int), np.ones((4, 4), int), "int64 (4, 4) and int64 (4, 4)"),
+            (np.full((4, 4), 0.5), np.ones((4, 4), bool), "train mask must be a 2-d boolean raster, not float64 (4, 4)"),
+            (np.ones((4, 4), bool), np.ones((4, 5), bool),
+             "test mask must be a 2-d boolean raster of shape (4, 4), not bool (4, 5)"),
+            (np.ones(16, bool), np.ones(16, bool), "train mask must be a 2-d boolean raster, not bool (16,)"),
+            (np.ones((4, 4), int), np.ones((4, 4), int), "train mask must be a 2-d boolean raster, not int64 (4, 4)"),
         ],
     )
-    def test_masks_not_two_boolean_rasters_of_one_shape_rejected(self, train, test, described):
-        # A 0.5 train mask would train on those pixels; evaluate casts it to True.
-        with pytest.raises(ValueError, match=rf"^train and test masks must be 2-d boolean rasters "
-                                             rf"of one shape, not {re.escape(described)}$"):
+    def test_masks_not_two_boolean_rasters_of_one_shape_rejected(self, train, test, message):
+        # A 0.5 train mask would train on those pixels.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TrainSplit(train, test, 0, 0.5)
 
     def test_overlapping_masks_accepted(self):
@@ -198,6 +199,18 @@ class TestTrainPredict:
         s = split(field, 0.3, seed=2)
         with pytest.raises(ValueError, match=f"^features have {columns} columns, the label raster 144 pixels$"):
             train_predict(np.ones((4, columns)), s, field)
+
+    @pytest.mark.parametrize("kind", ["nearest-centroid", "knn"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, kind, value):
+        # Unchecked, all-NaN features predict a LabelField and an inf entry only warns.
+        feats, field = blob_instance()
+        s = split(field, 0.3, seed=2)
+        one_entry = feats.copy()
+        one_entry[1, 7] = value
+        for bad in (np.full_like(feats, value), one_entry):
+            with pytest.raises(NonFiniteData, match="^features must be finite$"):
+                train_predict(bad, s, field, kind)
 
     @given(st.integers(0, 200))
     @settings(max_examples=20, deadline=None)
@@ -448,6 +461,28 @@ class TestEvaluate:
         pred = LabelField(np.array([[1, 0, 2]]))
         with pytest.raises(DegenerateInput, match="predictions must be classes >= 1 on the mask"):
             evaluate(pred, truth, np.ones((1, 3), bool))
+
+    @pytest.mark.parametrize("mask", [np.full((6, 10), 0.5), np.full((6, 10), 2)], ids=["float", "int"])
+    def test_mask_not_boolean_rejected(self, mask):
+        # bool(0.5) and bool(2) are True: cast to bool, either mask would score every pixel.
+        _, field = blob_instance()
+        with pytest.raises(ValueError, match=rf"^mask must be a 2-d boolean raster, not {mask.dtype} \(6, 10\)$"):
+            evaluate(field, field, mask)
+
+    @pytest.mark.parametrize(
+        "confusion, error, message",
+        [
+            ([[3, -1], [0, 2]], ValueError, "square matrix of non-negative counts"),  # else OA 1.25
+            ([[3, np.nan], [0, 2]], NonFiniteData, "finite"),  # else OA NaN
+            ([[3, np.inf], [0, 2]], NonFiniteData, "finite"),
+            ([3, 1], ValueError, "non-empty 2-d matrix"),  # else numpy's AxisError
+            ([[3, 1, 0], [0, 2, 0]], ValueError, "square matrix of non-negative counts"),  # else a matmul error
+            (np.zeros((0, 0)), ValueError, "non-empty 2-d matrix"),
+        ],
+    )
+    def test_not_a_confusion_matrix_rejected(self, confusion, error, message):
+        with pytest.raises(error, match=f"^confusion must be .*{message}"):
+            metrics_from_confusion(confusion)
 
     def test_all_zero_confusion_rejected(self):
         with pytest.raises(DegenerateInput, match="empty confusion matrix"):

@@ -169,7 +169,7 @@ class TestExitCodes:
         rc = cli_main(["decompose", "--cube", str(demo_dir / "cube.json"), "--partition", str(part),
                        "--out-dir", str(demo_dir / "d")])
         assert rc == 2
-        assert (f"error: partition raster {part} is 12x13, cube {demo_dir / 'cube.json'} is 12x12"
+        assert (f"error: shapes differ: {part} (12, 13), {demo_dir / 'cube.json'} (12, 12)"
                 in capsys.readouterr().err)
         assert sorted(os.listdir(demo_dir)) == before
 
@@ -178,8 +178,7 @@ class TestExitCodes:
         spio.write_raster(np.ones((12, 13), int), str(pred))
         truth = demo_dir / "truth.txt"
         assert cli_main(["metrics", str(pred), str(truth), "--out", str(demo_dir / "m.json")]) == 2
-        assert (f"error: prediction raster {pred} is 12x13, truth raster {truth} is 12x12"
-                in capsys.readouterr().err)
+        assert f"error: shapes differ: {pred} (12, 13), {truth} (12, 12)" in capsys.readouterr().err
         assert not (demo_dir / "m.json").exists()
 
     def test_metrics_unlabeled_prediction_on_a_scored_pixel_is_exit_two(self, demo_dir, capsys):
@@ -190,7 +189,7 @@ class TestExitCodes:
         pred = demo_dir / "pred.txt"
         spio.write_raster(pred_grid, str(pred))
         assert cli_main(["metrics", str(pred), str(truth), "--out", str(demo_dir / "m.json")]) == 2
-        assert "error: predictions are unlabeled on scored pixels" in capsys.readouterr().err
+        assert f"error: {pred}: predictions are unlabeled on scored pixels" in capsys.readouterr().err
         assert not (demo_dir / "m.json").exists()
 
     def test_strict_flags_nonconvergence(self, demo_dir, capsys):
@@ -309,7 +308,7 @@ class TestExitCodes:
         spio.write_raster(labels.labels, str(demo_dir / "truth.txt"))
         out = demo_dir / "out"
         assert cli_main(classify_args(demo_dir, "out")) == 2
-        assert "error: label raster is %dx%d, cube is 12x12" % shape in capsys.readouterr().err
+        assert "error: shapes differ: labels (%d, %d), cube (12, 12)" % shape in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["classify", "decompose", "segment"])

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import tempfile
@@ -6,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spdlrr import DegenerateInput, DlrrParams, FormatError, HsiCube, LabelField, NonFiniteData
 from spdlrr import PipelineConfig
@@ -402,7 +404,7 @@ def malformed(valid, alphabet):
 def load_or_exit_two(loader, data, name, argv):
     """Write data to name in a fresh directory and load it.  Returns what
     the loader gave, or None after checking that a FormatError from it is
-    also the CLI's exit 2, with nothing written."""
+    also the CLI's exit 2, with nothing written and the file named."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, name)
         with open(path, "wb") as fh:
@@ -413,8 +415,11 @@ def load_or_exit_two(loader, data, name, argv):
             return loader(path)
         except FormatError:
             before = sorted(os.listdir(work))
-            assert cli_main([a.format(path=path, work=work) for a in argv]) == 2
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert cli_main([a.format(path=path, work=work) for a in argv]) == 2
             assert sorted(os.listdir(work)) == before
+            assert path in err.getvalue()
             return None
 
 
@@ -488,6 +493,8 @@ class TestMalformedInputs:
             st.text(max_size=6).map(lambda t: {**VALID_MANIFEST, "data_path": t + "\0"}),
         )
     )
+    @example({**VALID_MANIFEST, "data_path": "none.raw"})  # the manifest names a missing payload
+    @example({**VALID_MANIFEST, "data_path": ""})
     @settings(max_examples=300, deadline=None)
     def test_manifest(self, manifest):
         if isinstance(manifest, dict):

@@ -556,7 +556,7 @@ class TestAllFinite:
             assert not all_finite(x) and not all_finite(x.astype(np.float32))
             with pytest.raises(SvdFailure, match="non-finite"):
                 thin_svd(x)
-            with pytest.raises(ValueError, match="cube entries must be finite"):
+            with pytest.raises(ValueError, match="^pixel matrix must be finite$"):
                 HsiCube(2, 2, x)
             with pytest.raises(ValueError, match="x must be finite"):
                 solve(x, np.zeros(4, dtype=np.int64), DlrrParams())
